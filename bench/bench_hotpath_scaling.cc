@@ -20,15 +20,9 @@
 // budget refunds — reporting completion throughput against the fault-free
 // run plus the robustness layer's lease/requeue counters (schema v3).
 //
-// (PR 7, schema v4) adds the assignment-kernel sections:
-//   * "kernels": the runtime-dispatched SIMD ISA the host resolved, the
-//     likelihood-cache hit rate, and the overlay / closed-form row counts
-//     from a telemetry-enabled run;
-//   * "kernel_optimization": legacy Qw path (full deep copy, no cache —
-//     use_qw_overlay=false + likelihood_cache_enabled=false) vs the
-//     optimized path at each n, with p50 assignment latency, the per-stage
-//     qw_estimate / topk_scan attribution, and a decision-hash equality
-//     check (the two representations must select identical HITs).
+// (PR 7, schema v4) adds the "kernels" section: the runtime-dispatched
+// SIMD ISA the host resolved, the likelihood-cache hit rate, and the
+// overlay / closed-form row counts from one telemetry-enabled run.
 //
 // Emits a single JSON document (schema documented in README.md; written to
 // --out, default stdout). tools/run_bench.sh drives this binary and places
@@ -84,8 +78,6 @@ struct RunResult {
   int leases_expired = 0;
   int questions_requeued = 0;
   // Filled only when CycleOptions::telemetry is set.
-  double qw_estimate_ms = 0.0;
-  double topk_scan_ms = 0.0;
   int64_t cache_hits = 0;
   int64_t cache_misses = 0;
   int64_t overlay_rows = 0;
@@ -94,10 +86,6 @@ struct RunResult {
 
 struct CycleOptions {
   int abandon_permille = 0;
-  // false = legacy Qw path: full deep copy of Qc per request, per-request
-  // likelihood-table rebuild (use_qw_overlay and likelihood_cache_enabled
-  // both off). Decisions are bit-identical either way.
-  bool optimized_assignment = true;
   bool telemetry = false;
 };
 
@@ -136,8 +124,6 @@ RunResult RunHitCycles(int n, int num_threads, int em_refresh_interval,
   config.em.max_iterations = 15;
   config.num_threads = num_threads;
   config.em_refresh_interval = em_refresh_interval;
-  config.use_qw_overlay = options.optimized_assignment;
-  config.likelihood_cache_enabled = options.optimized_assignment;
   config.telemetry_enabled = options.telemetry;
   // Abandoned HITs expire on the next Tick; the questions requeue and the
   // budget refunds, so the run still completes `hits` HITs total.
@@ -196,14 +182,6 @@ RunResult RunHitCycles(int n, int num_threads, int em_refresh_interval,
   result.questions_requeued = engine.questions_requeued();
   if (options.telemetry) {
     const util::TelemetrySnapshot snapshot = engine.TelemetrySnapshot();
-    for (const util::LatencySnapshot& latency : snapshot.latencies) {
-      if (latency.name == "estimate_qw") {
-        result.qw_estimate_ms = latency.total_seconds * 1e3;
-      }
-      if (latency.name == "topk_scan") {
-        result.topk_scan_ms = latency.total_seconds * 1e3;
-      }
-    }
     for (const util::CounterSnapshot& counter : snapshot.counters) {
       if (counter.name == util::tnames::kQwLikelihoodCacheHits) {
         result.cache_hits = counter.value;
@@ -430,56 +408,14 @@ int Main(int argc, char** argv) {
   }
   std::fprintf(out, "\n  ],\n");
 
-  // --- assignment kernels: legacy vs optimized Qw path (PR 7) -----------
-  // The same workload (accuracy / WP / k=20 / 30 workers) through both Qw
-  // representations: the legacy full deep copy with per-request likelihood
-  // rebuilds, and the kernel path (zero-copy overlay + likelihood cache).
-  // Both must select byte-identical HITs; the headline is the p50
-  // assignment-latency ratio at the largest n, with the telemetry stage
-  // totals attributing the win to qw_estimate + topk_scan.
-  int64_t opt_cache_hits = 0, opt_cache_misses = 0;
-  int64_t opt_overlay_rows = 0, opt_closed_form_rows = 0;
-  std::fprintf(out, "  \"kernel_optimization\": [\n");
-  first = true;
-  for (int n : {10000, 100000}) {
-    std::fprintf(stderr, "[bench] n=%d legacy vs optimized Qw path ...\n", n);
-    const RunResult legacy =
-        RunHitCycles(n, /*threads=*/1, /*interval=*/8, kHits,
-                     {.optimized_assignment = false, .telemetry = true});
-    const RunResult optimized =
-        RunHitCycles(n, /*threads=*/1, /*interval=*/8, kHits,
-                     {.optimized_assignment = true, .telemetry = true});
-    QASCA_CHECK(legacy.decision_hash == optimized.decision_hash)
-        << "legacy and optimized Qw paths selected different HITs";
-    opt_cache_hits = optimized.cache_hits;
-    opt_cache_misses = optimized.cache_misses;
-    opt_overlay_rows = optimized.overlay_rows;
-    opt_closed_form_rows = optimized.closed_form_rows;
-    if (!first) std::fprintf(out, ",\n");
-    first = false;
-    std::fprintf(
-        out,
-        "    { \"n\": %d, "
-        "\"legacy_p50_assignment_seconds\": %.6g, "
-        "\"optimized_p50_assignment_seconds\": %.6g, "
-        "\"p50_speedup\": %.4g, "
-        "\"legacy_qw_estimate_ms\": %.6g, "
-        "\"optimized_qw_estimate_ms\": %.6g, "
-        "\"legacy_topk_scan_ms\": %.6g, "
-        "\"optimized_topk_scan_ms\": %.6g, "
-        "\"identical_decisions\": true }",
-        n, legacy.p50_assignment_seconds, optimized.p50_assignment_seconds,
-        optimized.p50_assignment_seconds > 0.0
-            ? legacy.p50_assignment_seconds /
-                  optimized.p50_assignment_seconds
-            : 1.0,
-        legacy.qw_estimate_ms, optimized.qw_estimate_ms,
-        legacy.topk_scan_ms, optimized.topk_scan_ms);
-  }
-  std::fprintf(out, "\n  ],\n");
-
   // --- kernel layer configuration + counters (PR 7) ---------------------
-  const int64_t cache_lookups = opt_cache_hits + opt_cache_misses;
+  // One telemetry-enabled run at the largest n, with incremental refreshes
+  // between refits so the likelihood cache serves both Qw and refreshes.
+  std::fprintf(stderr, "[bench] n=%d kernel counters ...\n", sizes.back());
+  const RunResult counted =
+      RunHitCycles(sizes.back(), /*threads=*/1, /*interval=*/8, kHits,
+                   {.telemetry = true});
+  const int64_t cache_lookups = counted.cache_hits + counted.cache_misses;
   std::fprintf(
       out,
       "  \"kernels\": { \"isa\": \"%s\", "
@@ -487,14 +423,14 @@ int Main(int argc, char** argv) {
       "\"cache_hit_rate\": %.4g, "
       "\"overlay_rows\": %lld, \"closed_form_rows\": %lld },\n",
       kernels::IsaName(kernels::ActiveIsa()),
-      static_cast<long long>(opt_cache_hits),
-      static_cast<long long>(opt_cache_misses),
+      static_cast<long long>(counted.cache_hits),
+      static_cast<long long>(counted.cache_misses),
       cache_lookups > 0
-          ? static_cast<double>(opt_cache_hits) /
+          ? static_cast<double>(counted.cache_hits) /
                 static_cast<double>(cache_lookups)
           : 0.0,
-      static_cast<long long>(opt_overlay_rows),
-      static_cast<long long>(opt_closed_form_rows));
+      static_cast<long long>(counted.overlay_rows),
+      static_cast<long long>(counted.closed_form_rows));
 
   // --- per-stage telemetry breakdown (PR 3) -----------------------------
   std::fprintf(out, "  \"stage_breakdown\": [\n");

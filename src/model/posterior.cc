@@ -21,7 +21,7 @@ namespace {
 // The sum runs through kernels::RowSum (the fixed 4-lane fold, bit-identical
 // on every ISA) and the scale through kernels::DivRow (elementwise true
 // division, exact per IEEE). Every posterior / Qw row in the tree is
-// normalised by this one helper, so the legacy deep-copy path and the
+// normalised by this one helper, so EstimateWorkerDistribution and the
 // overlay path normalise identically by construction.
 double NormalizeRowInPlace(double* w, int n) {
   const double total = kernels::RowSum(w, n);
@@ -173,6 +173,27 @@ std::vector<double> EstimateWorkerRow(std::span<const double> current_row,
                              mode == QwMode::kSampled ? rng.Uniform() : 0.0);
 }
 
+DistributionMatrix EstimateWorkerDistribution(
+    const DistributionMatrix& current, const WorkerModel& model,
+    const std::vector<QuestionIndex>& candidates, QwMode mode,
+    util::Rng& rng) {
+  DistributionMatrix qw = current;
+  // One base draw per call keeps the caller's Rng stream advanced the same
+  // way regardless of candidate count; every candidate then derives its own
+  // counter-based stream from (base, question index).
+  const uint64_t base = mode == QwMode::kSampled ? rng.engine()() : 0;
+  for (QuestionIndex i : candidates) {
+    double u01 = 0.0;
+    if (mode == QwMode::kSampled) {
+      util::SplitMix64 stream(
+          util::SplitMix64::MixSeed(base, static_cast<uint64_t>(i)));
+      u01 = stream.NextDouble();
+    }
+    qw.SetRow(i, EstimateWorkerRowAt(current.Row(i), model, mode, u01));
+  }
+  return qw;
+}
+
 // Candidate rows are independent, so the scan parallelises by chunk; the
 // grain is fixed (never derived from the pool size) to keep the chunk
 // decomposition — and with it any scheduling-sensitive behaviour —
@@ -180,36 +201,6 @@ std::vector<double> EstimateWorkerRow(std::span<const double> current_row,
 namespace {
 constexpr int kQwScanGrain = 256;
 }  // namespace
-
-DistributionMatrix EstimateWorkerDistribution(
-    const DistributionMatrix& current, const WorkerModel& model,
-    const std::vector<QuestionIndex>& candidates, QwMode mode, util::Rng& rng,
-    util::ThreadPool* pool, util::MetricRegistry* telemetry) {
-  if (telemetry != nullptr && mode == QwMode::kSampled) {
-    // One weighted draw per candidate row (Eq. 17's sampling step).
-    telemetry->GetCounter(util::tnames::kQwSamplesDrawn)
-        ->Add(static_cast<int64_t>(candidates.size()));
-  }
-  DistributionMatrix qw = current;
-  // One base draw per call keeps the caller's Rng stream advanced the same
-  // way regardless of candidate count or threading; every candidate then
-  // derives its own counter-based stream from (base, question index).
-  const uint64_t base = mode == QwMode::kSampled ? rng.engine()() : 0;
-  const int count = static_cast<int>(candidates.size());
-  util::ParallelFor(pool, 0, count, kQwScanGrain, [&](int cb, int ce) {
-    for (int c = cb; c < ce; ++c) {
-      QuestionIndex i = candidates[static_cast<size_t>(c)];
-      double u01 = 0.0;
-      if (mode == QwMode::kSampled) {
-        util::SplitMix64 stream(
-            util::SplitMix64::MixSeed(base, static_cast<uint64_t>(i)));
-        u01 = stream.NextDouble();
-      }
-      qw.SetRow(i, EstimateWorkerRowAt(current.Row(i), model, mode, u01));
-    }
-  });
-  return qw;
-}
 
 void EstimateWorkerRowsInto(const DistributionMatrix& current,
                             const WorkerModel& model,
@@ -282,8 +273,8 @@ void EstimateWorkerRowsInto(const DistributionMatrix& current,
   // WP answer distributions come from the O(l) closed-form kernel; every
   // other model shape goes through the confusion-matrix kernel against one
   // hoisted row-major copy of the matrix (AsConfusionMatrix materialises the
-  // same AnswerProbability doubles, so the products match the legacy
-  // model-call loop bitwise).
+  // same AnswerProbability doubles, so the products match
+  // EstimateWorkerRowAt's model-call loop bitwise).
   const bool use_wp_kernel =
       model.kind() == WorkerModel::Kind::kWorkerProbability && num_labels > 1;
   const double wp_m = use_wp_kernel ? model.worker_probability() : 0.0;

@@ -82,8 +82,7 @@ enum class QwMode {
 /// row Qc_i and the uniform variate `u01` in [0, 1) that drives the kSampled
 /// weighted draw (ignored in kExpected mode). This is the deterministic core
 /// of Qw estimation: given identical inputs it returns an identical row on
-/// any thread, which is what lets EstimateWorkerDistribution parallelise
-/// without perturbing HIT selection.
+/// any thread.
 std::vector<double> EstimateWorkerRowAt(std::span<const double> current_row,
                                         const WorkerModel& model, QwMode mode,
                                         double u01);
@@ -102,22 +101,14 @@ std::vector<double> EstimateWorkerRow(std::span<const double> current_row,
 /// Randomness contract: in kSampled mode exactly one 64-bit base draw is
 /// taken from `rng` per call, and each candidate row samples from its own
 /// SplitMix64 stream seeded by (base, question index). Row values therefore
-/// depend only on the base draw and the question — not on candidate order,
-/// pool size, or scheduling — so runs with any `pool` (including none)
-/// select byte-identical HITs.
+/// depend only on the base draw and the question, not on candidate order.
 ///
-/// `telemetry` (optional) counts the weighted draws taken in kSampled mode
-/// (tnames::kQwSamplesDrawn); it never affects the sampled rows.
-///
-/// This is the legacy deep-copy representation (an O(n*l) copy per call);
-/// the serving path uses EstimateWorkerRowsInto + QwOverlay instead and
-/// keeps this entry point as the reference the equivalence suite and the
-/// bench's legacy mode compare against.
+/// A serial, row-at-a-time reference (an O(n*l) copy per call): the serving
+/// path uses EstimateWorkerRowsInto + QwOverlay, which the overlay tests
+/// hold bit-identical to this.
 DistributionMatrix EstimateWorkerDistribution(
     const DistributionMatrix& current, const WorkerModel& model,
-    const std::vector<QuestionIndex>& candidates, QwMode mode, util::Rng& rng,
-    util::ThreadPool* pool = nullptr,
-    util::MetricRegistry* telemetry = nullptr);
+    const std::vector<QuestionIndex>& candidates, QwMode mode, util::Rng& rng);
 
 /// Zero-copy Qw estimation (DESIGN.md §12): materialises only the candidate
 /// rows into `overlay` (reusable per-strategy scratch; reads of other rows
@@ -125,7 +116,7 @@ DistributionMatrix EstimateWorkerDistribution(
 /// the answer-distribution / posterior-weight inner loops through the
 /// runtime-dispatched kernels with zero per-candidate allocations.
 /// `likelihoods` must be the transposed table for `model` (from the
-/// engine's LikelihoodCache or a strategy-local rebuild).
+/// engine's LikelihoodCache).
 ///
 /// Same randomness contract as EstimateWorkerDistribution, and bit-identical
 /// overlay rows: for every candidate i, overlay->Row(i) holds exactly the
@@ -133,10 +124,10 @@ DistributionMatrix EstimateWorkerDistribution(
 /// equivalence suite pins this across every ISA. The one deliberate
 /// exception is kExpected with a WP model, where the rows come from the
 /// exact closed form (see QwMode) instead of the numerically-accumulated
-/// mixture: the closed form is the true value the legacy mixture only
-/// approaches to within rounding, so those rows agree with the legacy path
-/// to ~1e-12 rather than bitwise. Golden traces and the engine default run
-/// kSampled, which is bitwise-pinned.
+/// mixture: the closed form is the true value the reference mixture only
+/// approaches to within rounding, so those rows agree with
+/// EstimateWorkerDistribution to ~1e-12 rather than bitwise. Golden traces
+/// and the engine default run kSampled, which is bitwise-pinned.
 /// When `fuse_row_max` is set, the overlay's quality channel is armed and
 /// each materialised row's maximum — the Accuracy* row quality — is written
 /// alongside the row while it is still hot (QwOverlay::ArmQualities), so

@@ -64,17 +64,6 @@ struct AppConfig {
   /// clock is read, and decisions are byte-identical either way (telemetry
   /// never touches the RNG streams — guarded by the determinism suite).
   bool telemetry_enabled = false;
-  /// Memoise per-worker likelihood tables across HIT requests, invalidated
-  /// on every full EM refit (model/likelihood_cache.h). Pure memoisation:
-  /// decisions are bit-identical with the cache on or off (the
-  /// kernel-equivalence suite pins this); OFF only costs a per-request
-  /// table rebuild.
-  bool likelihood_cache_enabled = true;
-  /// Estimate Qw through the zero-copy overlay (candidate rows only,
-  /// reusable scratch — DESIGN.md §12) instead of the legacy full deep copy
-  /// of Qc. Bit-identical selections either way; the flag exists for the
-  /// equivalence suite and the legacy bench mode.
-  bool use_qw_overlay = true;
   /// Assignment-lease timeout in virtual-clock ticks: a HIT not completed
   /// within this many ticks of its assignment (time advances only through
   /// Engine::Tick) expires — its questions return to the worker's candidate
@@ -106,8 +95,8 @@ struct AppConfig {
   /// Flight-recorder ring capacity in events (one span = two events).
   int flight_recorder_capacity = 65536;
   /// Record a DecisionProvenance entry (platform/provenance.h) for every
-  /// assignment: chosen questions + benefit scores, kernel ISA, overlay and
-  /// cache usage, EM generation, lease/journal sequencing. Dumpable as
+  /// assignment: chosen questions + benefit scores, kernel ISA, cache
+  /// usage, EM generation, lease/journal sequencing. Dumpable as
   /// JSONL (qasca_sim --provenance-out). OFF by default.
   bool provenance_enabled = false;
   /// Provenance ring capacity in records (one per assignment).

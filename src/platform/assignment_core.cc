@@ -56,9 +56,7 @@ util::StatusOr<AssignmentCore::Decision> AssignmentCore::Decide(
   context.rng = &rng_;
   context.pool = pool_.get();
   context.telemetry = &telemetry_;
-  context.likelihood_cache =
-      config_.likelihood_cache_enabled ? &likelihood_cache_ : nullptr;
-  context.use_qw_overlay = config_.use_qw_overlay;
+  context.likelihood_cache = &likelihood_cache_;
   context.provenance = provenance;
   // The cache-hit bit comes from the cache's own lifetime counters
   // (telemetry-independent), read as a delta around the strategy call.
@@ -135,36 +133,22 @@ void AssignmentCore::ApplyCompletion(
     const EmResult& parameters = database_.parameters();
     std::vector<double> row;
     row.reserve(static_cast<size_t>(config_.num_labels));
-    if (config_.likelihood_cache_enabled) {
-      // Table-based refresh: the answering workers' likelihood tables are
-      // memoised across completions (models are frozen between refits, so
-      // entries stay valid until RunFullEmRefit invalidates them).
-      LikelihoodLookup lookup =
-          [this, &parameters](WorkerId w) -> const WorkerLikelihoods& {
-        return likelihood_cache_.Get(w, parameters.WorkerFor(w));
-      };
-      for (QuestionIndex question : questions) {
-        ComputePosteriorRowWithLikelihoods(
-            database_.answers()[static_cast<size_t>(question)],
-            parameters.prior, lookup, &row);
-        // Always on: an incremental row is the only writer of Qc between
-        // refits, so a denormalised one corrupts every later assignment
-        // decision without crashing.
-        QASCA_CHECK_OK(invariants::CheckDistributionRow(row));
-        database_.UpdatePosteriorRow(question, row);
-      }
-    } else {
-      WorkerModelLookup lookup =
-          [&parameters](WorkerId w) -> const WorkerModel& {
-        return parameters.WorkerFor(w);
-      };
-      for (QuestionIndex question : questions) {
-        ComputePosteriorRowInto(
-            database_.answers()[static_cast<size_t>(question)],
-            parameters.prior, lookup, &row);
-        QASCA_CHECK_OK(invariants::CheckDistributionRow(row));
-        database_.UpdatePosteriorRow(question, row);
-      }
+    // Table-based refresh: the answering workers' likelihood tables are
+    // memoised across completions (models are frozen between refits, so
+    // entries stay valid until RunFullEmRefit invalidates them).
+    LikelihoodLookup lookup =
+        [this, &parameters](WorkerId w) -> const WorkerLikelihoods& {
+      return likelihood_cache_.Get(w, parameters.WorkerFor(w));
+    };
+    for (QuestionIndex question : questions) {
+      ComputePosteriorRowWithLikelihoods(
+          database_.answers()[static_cast<size_t>(question)],
+          parameters.prior, lookup, &row);
+      // Always on: an incremental row is the only writer of Qc between
+      // refits, so a denormalised one corrupts every later assignment
+      // decision without crashing.
+      QASCA_CHECK_OK(invariants::CheckDistributionRow(row));
+      database_.UpdatePosteriorRow(question, row);
     }
     incremental_since_refit_ = true;
   }

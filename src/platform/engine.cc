@@ -160,7 +160,6 @@ util::StatusOr<std::vector<QuestionIndex>> TaskAssignmentEngine::RequestHit(
     QASCA_RETURN_IF_ERROR(journal_->AppendAssign(worker, selected));
   }
   core_->CommitAssignment(worker, selected);
-  trace_.RecordAssignment(worker, selected);
   OpenHit hit;
   hit.hit_id = next_hit_id_++;
   hit.deadline = config_.lease_timeout_ticks == 0
@@ -179,8 +178,8 @@ util::StatusOr<std::vector<QuestionIndex>> TaskAssignmentEngine::RequestHit(
   instruments_.remaining_hits->Set(static_cast<double>(remaining_hits()));
   if (provenance_ != nullptr) {
     // Appended after the assignment is durable, and during replay too:
-    // provenance is re-derivable audit state, rebuilt by recovery exactly
-    // like the event trace, so counts stay consistent across crashes.
+    // provenance is re-derivable audit state, rebuilt by recovery replay,
+    // so counts stay consistent across crashes.
     provenance_record.trace_id = trace_id;
     provenance_record.hit_id = hit_id;
     provenance_record.worker = worker;
@@ -265,7 +264,6 @@ util::Status TaskAssignmentEngine::CompleteHit(
   std::vector<QuestionIndex> touched = it->second.questions;
   last_completion_[worker] =
       CompletedHit{it->second.hit_id, HashLabels(labels)};
-  trace_.RecordCompletion(worker, touched, labels);
   open_hits_.erase(it);
   ++completed_hits_;
   instruments_.hits_completed->Add(1);
@@ -297,7 +295,6 @@ int TaskAssignmentEngine::Tick(uint64_t ticks) {
   for (WorkerId worker : expired) {
     const OpenHit& hit = open_hits_.at(worker);
     core_->ReleaseAssignment(worker, hit.questions);
-    trace_.RecordLeaseExpiry(worker, hit.questions);
     questions_requeued_ += static_cast<int>(hit.questions.size());
     instruments_.questions_requeued->Add(
         static_cast<int64_t>(hit.questions.size()));
@@ -321,9 +318,10 @@ util::Status TaskAssignmentEngine::Recover() {
     return util::Status::FailedPrecondition(
         "recovery requires AppConfig::persistence_path");
   }
-  QASCA_CHECK_EQ(assigned_hits_, 0)
+  // A fresh engine has issued no HIT id and never ticked. Both only grow,
+  // unlike assigned_hits_, which lease expiry refunds.
+  QASCA_CHECK(next_hit_id_ == 0 && now_ticks_ == 0)
       << "Recover must run on a freshly constructed engine";
-  QASCA_CHECK_EQ(trace_.size(), 0);
   replaying_ = true;
   replay_journal_seq_ = 0;
   for (const LifecycleJournal::Event& event : journal_->events()) {

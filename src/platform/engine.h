@@ -14,7 +14,6 @@
 #include "platform/journal.h"
 #include "platform/provenance.h"
 #include "platform/strategy.h"
-#include "platform/trace.h"
 #include "util/attributes.h"
 #include "util/flight_recorder.h"
 #include "util/status.h"
@@ -39,10 +38,10 @@ namespace qasca {
 /// pure, deterministic, golden-trace-pinned piece (D, Qc, EM, strategy,
 /// RNG). This class is the *serving shell* around it: budget and lease
 /// accounting on a virtual clock, completion idempotency, the write-ahead
-/// lifecycle journal and crash recovery, wall-clock latency / SLO tracking,
-/// the event trace and decision provenance. Decisions are a pure function
-/// of (config, seed, event history); everything the shell adds is
-/// re-derivable bookkeeping.
+/// lifecycle journal (the one per-event record) and crash recovery,
+/// wall-clock latency / SLO tracking and decision provenance. Decisions are
+/// a pure function of (config, seed, event history); everything the shell
+/// adds is re-derivable bookkeeping.
 ///
 /// Performance model (DESIGN.md "Threading and incrementality"): with
 /// AppConfig::num_threads > 1 the core owns a fixed-size thread pool that
@@ -146,8 +145,6 @@ class TaskAssignmentEngine {
   /// The pure decision core this shell serves (read-only; mutations go
   /// through the engine's lifecycle API).
   const AssignmentCore& core() const { return *core_; }
-  /// Ordered log of every assignment and completion this engine served.
-  const EventTrace& trace() const { return trace_; }
   /// The engine's telemetry registry: per-stage latency spans, hot-path
   /// counters and gauges. Strategies and kernels record into it through
   /// StrategyContext / AssignmentRequest. Live when
@@ -275,7 +272,6 @@ class TaskAssignmentEngine {
   AppConfig config_;
   util::MetricRegistry telemetry_;
   Instruments instruments_;
-  EventTrace trace_;
   /// Non-null iff config_.persistence_path is non-empty.
   std::unique_ptr<LifecycleJournal> journal_;
   /// Non-null iff config_.flight_recorder_enabled; attached to telemetry_

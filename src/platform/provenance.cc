@@ -139,10 +139,6 @@ void AppendRecordJson(std::string& out, const DecisionProvenance& record) {
   out += std::to_string(record.inner_iterations);
   out += ",\"candidates\":";
   out += std::to_string(record.candidates);
-  out += ",\"overlay_rows\":";
-  out += std::to_string(record.overlay_rows);
-  out += ",\"used_overlay\":";
-  out += record.used_overlay ? "true" : "false";
   out += ",\"cache_hit\":";
   out += record.likelihood_cache_hit ? "true" : "false";
   out += ",\"em_generation\":";
@@ -174,10 +170,6 @@ util::Status ParseRecord(std::string_view line, DecisionProvenance* record) {
   QASCA_RETURN_IF_ERROR(
       ParseInt(line, "inner_iterations", &record->inner_iterations));
   QASCA_RETURN_IF_ERROR(ParseInt(line, "candidates", &record->candidates));
-  QASCA_RETURN_IF_ERROR(
-      ParseInt(line, "overlay_rows", &record->overlay_rows));
-  QASCA_RETURN_IF_ERROR(
-      ParseBool(line, "used_overlay", &record->used_overlay));
   QASCA_RETURN_IF_ERROR(
       ParseBool(line, "cache_hit", &record->likelihood_cache_hit));
   QASCA_RETURN_IF_ERROR(

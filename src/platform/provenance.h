@@ -14,7 +14,7 @@ namespace qasca {
 
 /// Why one HIT was assigned: the chosen questions with the benefit scores
 /// that ranked them, the optimizer's diagnostics, and the engine state the
-/// decision was made under (kernel ISA, overlay/cache usage, EM generation,
+/// decision was made under (kernel ISA, cache usage, EM generation,
 /// lease/journal sequencing). One record per successful RequestHit,
 /// appended to the engine's ProvenanceLog and dumpable as JSONL for audit
 /// and offline regret analysis (DESIGN.md §13).
@@ -48,10 +48,6 @@ struct DecisionProvenance {
   int inner_iterations = 0;
   /// Candidate-set size |S^w| the selection was drawn from.
   int candidates = 0;
-  /// Qw rows materialised into the zero-copy overlay (0 on the legacy
-  /// deep-copy path).
-  int overlay_rows = 0;
-  bool used_overlay = false;
   /// Whether the worker's likelihood table came from the per-worker cache.
   bool likelihood_cache_hit = false;
   /// Full-EM-refit generation the decision saw (Qc posterior vintage).

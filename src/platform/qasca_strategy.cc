@@ -1,12 +1,12 @@
 #include "platform/qasca_strategy.h"
 
-#include <optional>
 #include <utility>
 
 #include "core/assignment/assignment.h"
 #include "core/assignment/fscore_online.h"
 #include "core/assignment/topk_benefit.h"
 #include "core/metrics/cost_accuracy.h"
+#include "model/likelihood_cache.h"
 #include "platform/database.h"
 #include "platform/provenance.h"
 #include "util/logging.h"
@@ -22,6 +22,7 @@ std::vector<QuestionIndex> QascaStrategy::SelectQuestions(
   QASCA_CHECK(context.metric != nullptr);
   QASCA_CHECK(context.worker_model != nullptr);
   QASCA_CHECK(context.rng != nullptr);
+  QASCA_CHECK(context.likelihood_cache != nullptr);
 
   const DistributionMatrix& qc = context.database->current();
 
@@ -36,22 +37,12 @@ std::vector<QuestionIndex> QascaStrategy::SelectQuestions(
   // objective as a by-product regardless).
   request.compute_objective = false;
 
-  // Qw estimation (Section 5.3). Default path: materialise only the
-  // candidate rows into the reusable overlay, multiplying through the
-  // requesting worker's likelihood table (cached across HITs by the engine
-  // when a cache is attached). Legacy path: deep-copy Qc and overwrite the
-  // candidate rows. Both paths produce bit-identical rows, hence identical
-  // selections — the kernel-equivalence suite pins this.
-  std::optional<DistributionMatrix> qw_storage;
-  if (context.use_qw_overlay) {
-    const WorkerLikelihoods* likelihoods;
-    if (context.likelihood_cache != nullptr) {
-      likelihoods =
-          &context.likelihood_cache->Get(context.worker, *context.worker_model);
-    } else {
-      scratch_likelihoods_.Rebuild(*context.worker_model);
-      likelihoods = &scratch_likelihoods_;
-    }
+  // Qw estimation (Section 5.3): materialise only the candidate rows into
+  // the reusable overlay, multiplying through the requesting worker's
+  // likelihood table (cached across HITs by the engine).
+  {
+    const WorkerLikelihoods& likelihoods =
+        context.likelihood_cache->Get(context.worker, *context.worker_model);
     util::Span span(context.telemetry, util::tnames::kSpanEstimateQw);
     // Accuracy* consumes each estimated row only through its max, so the
     // estimation kernel fuses the row maxima into the overlay's quality
@@ -59,18 +50,12 @@ std::vector<QuestionIndex> QascaStrategy::SelectQuestions(
     // double per candidate (AssignTopKBenefit's fused path).
     const bool fuse_row_max =
         context.metric->kind == MetricSpec::Kind::kAccuracy;
-    EstimateWorkerRowsInto(qc, *context.worker_model, *likelihoods, candidates,
+    EstimateWorkerRowsInto(qc, *context.worker_model, likelihoods, candidates,
                            qw_mode_, *context.rng, &overlay_, context.pool,
                            context.telemetry, fuse_row_max);
-    request.estimated = &qc;
-    request.overlay = &overlay_;
-  } else {
-    util::Span span(context.telemetry, util::tnames::kSpanEstimateQw);
-    qw_storage.emplace(EstimateWorkerDistribution(
-        qc, *context.worker_model, candidates, qw_mode_, *context.rng,
-        context.pool, context.telemetry));
-    request.estimated = &*qw_storage;
   }
+  request.estimated = &qc;
+  request.overlay = &overlay_;
 
   AssignmentResult result;
   if (context.metric->kind == MetricSpec::Kind::kAccuracy) {
@@ -99,10 +84,6 @@ std::vector<QuestionIndex> QascaStrategy::SelectQuestions(
     context.provenance->objective = result.objective;
     context.provenance->outer_iterations = result.outer_iterations;
     context.provenance->inner_iterations = result.inner_iterations;
-    context.provenance->used_overlay = context.use_qw_overlay;
-    // The overlay path materialises exactly the candidate rows.
-    context.provenance->overlay_rows =
-        context.use_qw_overlay ? static_cast<int>(candidates.size()) : 0;
   }
   return result.selected;
 }

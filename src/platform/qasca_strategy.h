@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/assignment/qw_overlay.h"
-#include "model/likelihood_cache.h"
 #include "model/posterior.h"
 #include "platform/strategy.h"
 
@@ -21,9 +20,9 @@ namespace qasca {
 /// Threading contract: inherits AssignmentStrategy's engine-thread-only
 /// SelectQuestions discipline (kernels parallelise through context.pool
 /// with const-read bodies). The instance owns reusable per-call scratch —
-/// the zero-copy Qw overlay and a fallback likelihood table — so one
-/// strategy must not serve two engines concurrently; scratch never carries
-/// state between calls (the overlay is re-begun per selection).
+/// the zero-copy Qw overlay — so one strategy must not serve two engines
+/// concurrently; scratch never carries state between calls (the overlay is
+/// re-begun per selection).
 class QascaStrategy final : public AssignmentStrategy {
  public:
   /// `qw_mode` selects the paper's sampled Qw estimation or the expected
@@ -48,8 +47,6 @@ class QascaStrategy final : public AssignmentStrategy {
   int last_inner_iterations_ = 0;
   /// Reusable zero-copy Qw scratch (candidate rows only; DESIGN.md §12).
   QwOverlay overlay_;
-  /// Per-call likelihood table used when the context supplies no cache.
-  WorkerLikelihoods scratch_likelihoods_;
 };
 
 }  // namespace qasca

@@ -49,17 +49,10 @@ struct StrategyContext {
   /// counters; nullptr (or a disabled registry) records nothing and
   /// instruments cost a dead branch. Never influences decisions.
   util::MetricRegistry* telemetry = nullptr;
-  /// Optional per-worker likelihood-table cache (model/likelihood_cache.h),
-  /// owned and invalidated by the engine across EM refits. nullptr makes
-  /// strategies rebuild the requesting worker's table locally; decisions
-  /// are bit-identical either way (the cache is pure memoisation).
+  /// Per-worker likelihood-table cache (model/likelihood_cache.h), owned
+  /// and invalidated by the engine across EM refits. Required by
+  /// Qw-estimating strategies (QascaStrategy); the baselines ignore it.
   LikelihoodCache* likelihood_cache = nullptr;
-  /// Whether Qw-estimating strategies may use the zero-copy overlay path
-  /// (EstimateWorkerRowsInto) instead of the legacy deep-copy
-  /// EstimateWorkerDistribution. Both produce bit-identical selections
-  /// (DESIGN.md §12); the flag exists for the equivalence suite and the
-  /// legacy bench mode.
-  bool use_qw_overlay = true;
   /// Optional out-record for decision provenance (platform/provenance.h).
   /// When non-null, strategies that can explain their choice fill the
   /// selection scores and optimizer diagnostics; the engine fills the

@@ -8,8 +8,9 @@ namespace qasca::util {
 
 /// Appends `value` to `out` with the JSON string escapes applied (quotes,
 /// backslash, control characters as \uXXXX) — no surrounding quotes. Shared
-/// by every hand-rolled JSON emitter in the tree (EventTrace::ToJsonLines,
-/// MetricRegistry::ToJson) so escaping rules live in exactly one place.
+/// by every hand-rolled JSON emitter in the tree (MetricRegistry::ToJson,
+/// FlightRecorder::ToChromeJson, ProvenanceLog::ToJsonLines) so escaping
+/// rules live in exactly one place.
 void AppendJsonEscaped(std::string& out, std::string_view value);
 
 /// Appends `value` as a complete JSON string token: quotes plus escapes.

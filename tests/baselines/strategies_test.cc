@@ -9,6 +9,7 @@
 #include "baselines/exp_loss.h"
 #include "baselines/max_margin.h"
 #include "baselines/random_strategy.h"
+#include "model/likelihood_cache.h"
 #include "platform/database.h"
 #include "platform/qasca_strategy.h"
 #include "util/rng.h"
@@ -32,6 +33,7 @@ class StrategyTest : public ::testing::Test {
     context_.worker_model = &worker_model_;
     context_.typical_worker = &typical_;
     context_.rng = &rng_;
+    context_.likelihood_cache = &likelihood_cache_;
   }
 
   void SetTargetProbs(const std::vector<double>& probs) {
@@ -52,6 +54,7 @@ class StrategyTest : public ::testing::Test {
   WorkerModel worker_model_;
   WorkerModel typical_;
   util::Rng rng_;
+  LikelihoodCache likelihood_cache_;
   StrategyContext context_;
 };
 

@@ -1,9 +1,6 @@
 // The kernel-equivalence suite (DESIGN.md §12): full engine runs must make
 // byte-identical assignment decisions and reach a byte-identical final
-// state under
-//   * every kernel ISA this host supports (scalar / SSE2 / AVX2),
-//   * the likelihood cache on or off (pure memoisation),
-//   * the zero-copy Qw overlay on or off (representation change only).
+// state under every kernel ISA this host supports (scalar / SSE2 / AVX2).
 // The decision sequence and Engine::StateFingerprint() are compared EXACTLY
 // against a single reference run per scenario — this is the engine-level
 // proof behind the per-kernel bitwise tests in tests/core/kernels_test.cc,
@@ -51,8 +48,6 @@ LabelIndex SimulatedAnswer(WorkerId worker, QuestionIndex question,
 
 struct Variant {
   Isa isa = Isa::kScalar;
-  bool likelihood_cache = true;
-  bool overlay = true;
   bool telemetry = false;
 };
 
@@ -93,8 +88,6 @@ void RunEngine(const Scenario& s, const Variant& v, RunRecord* out) {
   config.worker_kind = s.kind;
   config.em.max_iterations = 15;
   config.em_refresh_interval = 3;
-  config.likelihood_cache_enabled = v.likelihood_cache;
-  config.use_qw_overlay = v.overlay;
   config.telemetry_enabled = v.telemetry;
 
   GroundTruthVector truth(config.num_questions);
@@ -132,36 +125,24 @@ int64_t CounterValue(const util::TelemetrySnapshot& snapshot,
   return -1;
 }
 
-std::string VariantName(const Variant& v) {
-  return std::string(kernels::IsaName(v.isa)) +
-         (v.likelihood_cache ? "/cache" : "/nocache") +
-         (v.overlay ? "/overlay" : "/legacy");
-}
-
-TEST(KernelEquivalenceIntegrationTest,
-     EveryIsaCacheAndOverlayVariantIsByteIdentical) {
+TEST(KernelEquivalenceIntegrationTest, EveryIsaIsByteIdentical) {
   const Isa saved = kernels::ActiveIsa();
   for (const Scenario& s : Scenarios()) {
-    // Reference: scalar kernels, cache on, overlay on (engine defaults).
+    // Reference: scalar kernels.
     RunRecord reference;
-    RunEngine(s, Variant{Isa::kScalar, true, true}, &reference);
+    RunEngine(s, Variant{Isa::kScalar}, &reference);
     ASSERT_FALSE(reference.selections.empty()) << s.name;
     ASSERT_NE(reference.fingerprint, 0u) << s.name;
 
     for (Isa isa : {Isa::kScalar, Isa::kSse2, Isa::kAvx2}) {
       if (!kernels::IsaSupported(isa)) continue;
-      for (bool cache : {true, false}) {
-        for (bool overlay : {true, false}) {
-          const Variant v{isa, cache, overlay};
-          RunRecord record;
-          RunEngine(s, v, &record);
-          EXPECT_EQ(record.selections, reference.selections)
-              << s.name << " " << VariantName(v) << ": selections diverged";
-          EXPECT_EQ(record.fingerprint, reference.fingerprint)
-              << s.name << " " << VariantName(v) << ": state fingerprint "
-              << "diverged";
-        }
-      }
+      RunRecord record;
+      RunEngine(s, Variant{isa}, &record);
+      EXPECT_EQ(record.selections, reference.selections)
+          << s.name << " " << kernels::IsaName(isa) << ": selections diverged";
+      EXPECT_EQ(record.fingerprint, reference.fingerprint)
+          << s.name << " " << kernels::IsaName(isa) << ": state fingerprint "
+          << "diverged";
     }
   }
   kernels::SetIsaForTesting(saved);
@@ -171,8 +152,7 @@ TEST(KernelEquivalenceIntegrationTest, CacheTelemetryShowsHitsAndInvalidation) {
   const Isa saved = kernels::ActiveIsa();
   const Scenario s = Scenarios()[0];
   RunRecord record;
-  RunEngine(s, Variant{kernels::ActiveIsa(), true, true, /*telemetry=*/true},
-            &record);
+  RunEngine(s, Variant{kernels::ActiveIsa(), /*telemetry=*/true}, &record);
   const int64_t hits =
       CounterValue(record.snapshot, util::tnames::kQwLikelihoodCacheHits);
   const int64_t misses =
@@ -195,7 +175,7 @@ TEST(KernelEquivalenceIntegrationTest, KernelIsaGaugeReportsActiveDispatch) {
   for (Isa isa : {Isa::kScalar, Isa::kSse2, Isa::kAvx2}) {
     if (!kernels::IsaSupported(isa)) continue;
     RunRecord record;
-    RunEngine(s, Variant{isa, true, true, /*telemetry=*/true}, &record);
+    RunEngine(s, Variant{isa, /*telemetry=*/true}, &record);
     double gauge = -1.0;
     for (const util::GaugeSnapshot& g : record.snapshot.gauges) {
       if (g.name == util::tnames::kKernelIsa) gauge = g.value;
@@ -203,23 +183,6 @@ TEST(KernelEquivalenceIntegrationTest, KernelIsaGaugeReportsActiveDispatch) {
     EXPECT_EQ(gauge, static_cast<double>(static_cast<int>(isa)))
         << kernels::IsaName(isa);
   }
-  kernels::SetIsaForTesting(saved);
-}
-
-TEST(KernelEquivalenceIntegrationTest, LegacyModeDrawsNoOverlayTelemetry) {
-  const Isa saved = kernels::ActiveIsa();
-  const Scenario s = Scenarios()[0];
-  RunRecord record;
-  RunEngine(s, Variant{kernels::ActiveIsa(), false, /*overlay=*/false,
-                       /*telemetry=*/true},
-            &record);
-  // The legacy path never touches the overlay or the cache: the counters
-  // stay at zero or were never registered at all (-1).
-  EXPECT_LE(CounterValue(record.snapshot, util::tnames::kQwOverlayRows), 0);
-  EXPECT_LE(CounterValue(record.snapshot,
-                         util::tnames::kQwLikelihoodCacheHits), 0);
-  EXPECT_LE(CounterValue(record.snapshot,
-                         util::tnames::kQwLikelihoodCacheMisses), 0);
   kernels::SetIsaForTesting(saved);
 }
 

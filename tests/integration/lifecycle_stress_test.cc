@@ -35,6 +35,7 @@
 #include "platform/app_manager.h"
 #include "platform/engine.h"
 #include "platform/qasca_strategy.h"
+#include "scoped_test_dir.h"
 #include "simulation/fault_plan.h"
 #include "simulation/serving_driver.h"
 #include "util/invariants.h"
@@ -103,7 +104,7 @@ AppConfig MakeConfig(const StressCase& c, const std::string& persistence) {
   // probability, so 1.0 still bounds it while disabling the abort.
   config.em_drift_tolerance = 1.0;
   // Decision provenance rides the whole storm (crashes included): recovery
-  // must rebuild one record per assignment, exactly like the event trace.
+  // must rebuild one record per assignment.
   config.provenance_enabled = true;
   config.provenance_capacity = 4096;
   return config;
@@ -275,18 +276,18 @@ TEST_P(LifecycleStressTest, SeededEventStormHoldsInvariants) {
                             << qc_ok.ToString();
   }
 
-  // Expiries are derived from journaled ticks, so the trace — rebuilt by
-  // every recovery replay — must agree with the cumulative count.
-  EXPECT_EQ(engine->trace().CountOf(EventTrace::Kind::kLeaseExpired),
-            expected_expired);
+  // Expiries are derived from journaled ticks, so the count — rebuilt by
+  // every recovery replay — must agree with the cumulative one.
+  EXPECT_EQ(engine->leases_expired(), expected_expired);
 
-  // One provenance record per assignment the surviving engine knows about:
-  // replay re-derives the records the same way it rebuilds the trace, so
-  // the counts agree across every crash/recovery boundary, and each record
-  // carries a full HIT's worth of scored questions.
+  // One provenance record per assignment the surviving engine knows about
+  // (expiry refunds assigned_hits, so the expired ones are added back):
+  // replay re-derives the records along with the counters, so the counts
+  // agree across every crash/recovery boundary, and each record carries a
+  // full HIT's worth of scored questions.
   ASSERT_NE(engine->provenance(), nullptr);
   EXPECT_EQ(engine->provenance()->total_appended(),
-            engine->trace().CountOf(EventTrace::Kind::kHitAssigned));
+            engine->assigned_hits() + engine->leases_expired());
   for (int i = 0; i < engine->provenance()->size(); ++i) {
     const DecisionProvenance& record = engine->provenance()->at(i);
     ASSERT_EQ(record.questions.size(),
@@ -377,13 +378,8 @@ TEST(ConcurrentLifecycleStressTest, MidStormRecoveryUnderRacingSiblings) {
   options.lease_timeout_ticks = kLeaseTimeout;
   options.crash_every = 40;  // 3 crash+recover events per app, mid-storm
   options.provenance = true;
-  options.persistence_dir = ::testing::TempDir();
-  for (int app = 0; app < options.apps; ++app) {
-    const std::string prefix =
-        options.persistence_dir + "/journal.app" + std::to_string(app);
-    std::remove((prefix + ".snapshot").c_str());
-    std::remove((prefix + ".log").c_str());
-  }
+  ScopedTestDir journals;
+  options.persistence_dir = journals.path();
   const uint64_t seed = 77;
   const ServingSchedule schedule = ServingSchedule::Generate(options, seed);
 
@@ -393,12 +389,7 @@ TEST(ConcurrentLifecycleStressTest, MidStormRecoveryUnderRacingSiblings) {
       RunServingSchedule(oracle, schedule, options, 1);
 
   AppManager manager;
-  for (int app = 0; app < options.apps; ++app) {
-    const std::string prefix =
-        options.persistence_dir + "/journal.app" + std::to_string(app);
-    std::remove((prefix + ".snapshot").c_str());
-    std::remove((prefix + ".log").c_str());
-  }
+  journals.Reset();
   ASSERT_TRUE(BuildServingApps(manager, options, seed).ok());
   const ServingRunResult storm =
       RunServingSchedule(manager, schedule, options, 4);
@@ -417,14 +408,15 @@ TEST(ConcurrentLifecycleStressTest, MidStormRecoveryUnderRacingSiblings) {
     util::StatusOr<AppManager::AppStats> stats = manager.StatsFor(app);
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
     EXPECT_GT(stats->completed_hits, 0) << "app " << app;
-    // One provenance record per assignment the app's trace knows about —
-    // recovery replay rebuilds the records exactly like the event trace,
-    // so the identity holds across every crash boundary.
+    // One provenance record per assignment the app's engine knows about
+    // (assigned plus refunded by expiry) — recovery replay rebuilds the
+    // records along with the counters, so the identity holds across every
+    // crash boundary.
     util::Status inspected = manager.InspectApp(
         app, [app](const TaskAssignmentEngine& engine) {
           ASSERT_NE(engine.provenance(), nullptr);
           EXPECT_EQ(engine.provenance()->total_appended(),
-                    engine.trace().CountOf(EventTrace::Kind::kHitAssigned))
+                    engine.assigned_hits() + engine.leases_expired())
               << "app " << app;
         });
     ASSERT_TRUE(inspected.ok()) << inspected.ToString();

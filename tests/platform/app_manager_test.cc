@@ -18,7 +18,6 @@
 //    (regression for the double-refund hazard the shard lock closes).
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -26,6 +25,7 @@
 
 #include "platform/app_manager.h"
 #include "platform/qasca_strategy.h"
+#include "scoped_test_dir.h"
 #include "simulation/serving_driver.h"
 #include "util/failpoint.h"
 #include "util/status.h"
@@ -52,20 +52,6 @@ AppManager::AppOptions SmallApp(const std::string& name, uint64_t seed) {
   options.strategy_factory = [] { return std::make_unique<QascaStrategy>(); };
   options.seed = seed;
   return options;
-}
-
-// Removes any stale per-app journal files under TempDir so each manager
-// build starts from a clean slate. Must run BEFORE the apps are registered
-// (registration attaches each engine to its journal path).
-std::string FreshServingDir(int apps) {
-  const std::string dir = ::testing::TempDir();
-  for (int app = 0; app < apps; ++app) {
-    const std::string prefix =
-        dir + "/journal.app" + std::to_string(app);
-    std::remove((prefix + ".snapshot").c_str());
-    std::remove((prefix + ".log").c_str());
-  }
-  return dir;
 }
 
 TEST(AppManagerTest, RegisterAppValidatesInputs) {
@@ -247,7 +233,8 @@ TEST_P(ServingConformanceTest, CrashRecoveryKeepsBitIdentityUnderRace) {
   options.em_refresh_interval = 3;
   options.crash_every = 30;
   options.provenance = true;
-  options.persistence_dir = FreshServingDir(options.apps);
+  ScopedTestDir journals;
+  options.persistence_dir = journals.path();
 
   const ServingSchedule schedule = ServingSchedule::Generate(options, seed);
 
@@ -259,7 +246,7 @@ TEST_P(ServingConformanceTest, CrashRecoveryKeepsBitIdentityUnderRace) {
 
   for (int threads : {2, 4}) {
     AppManager manager;
-    FreshServingDir(options.apps);
+    journals.Reset();
     ASSERT_TRUE(BuildServingApps(manager, options, seed).ok());
     const ServingRunResult concurrent =
         RunServingSchedule(manager, schedule, options, threads);
@@ -317,9 +304,10 @@ TEST(AppManagerTest, CrashRecoverRequiresAJournal) {
 // the engine is discarded: the refusal must surface as Internal and leave
 // the app serving from its intact in-memory engine.
 TEST(AppManagerTest, CrashRecoverFailPointRefusesWithoutDataLoss) {
+  ScopedTestDir journals;
   AppManager manager;
   AppManager::AppOptions options = SmallApp("faulty", 8);
-  options.config.persistence_path = FreshServingDir(1) + "/journal";
+  options.config.persistence_path = journals.path() + "/journal";
   ASSERT_TRUE(manager.RegisterApp(std::move(options)).ok());
   ASSERT_TRUE(manager.SubmitHitRequest(0, 0).ok());
   const uint64_t before = *manager.AppStateFingerprint(0);

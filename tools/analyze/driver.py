@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -75,6 +76,16 @@ def build_universe(tree: SourceTree,
     return universe, orphans
 
 
+def display_path(path: Path, repo_root: Path) -> str:
+    """`path` relative to the repo when it lies inside it, else absolute
+    (an out-of-tree build keeps its compile_commands.json elsewhere)."""
+    path = path.resolve()
+    try:
+        return path.relative_to(repo_root.resolve()).as_posix()
+    except ValueError:
+        return path.as_posix()
+
+
 def ground_tree(repo_root: Path, compile_db: Path | None,
                 use_cache: bool) -> tuple[SourceTree, list[str], list[str]]:
     """Builds the SourceTree the passes run over, plus (orphans, notes)."""
@@ -95,7 +106,7 @@ def ground_tree(repo_root: Path, compile_db: Path | None,
     scout = SourceTree(repo_root, model_cache=cache)
     universe, orphans = build_universe(scout, db)
     notes.append(f"universe: {len(universe)} files from "
-                 f"{db_path.relative_to(repo_root).as_posix()} "
+                 f"{display_path(db_path, repo_root)} "
                  f"({len(db.sources)} TUs + quoted-include closure)")
     tree = SourceTree(repo_root, universe=universe, model_cache=cache)
     tree._models = scout._models  # reuse models built during the closure
@@ -294,6 +305,7 @@ def self_test(passes) -> int:
     problems.extend(_check_ids(findings))
     problems.extend(_check_json_shape(findings, passes))
     problems.extend(_check_baseline_mechanism(tree, passes))
+    problems.extend(_check_out_of_tree_compile_db())
 
     if problems:
         print("analyze --self-test: FAIL")
@@ -368,6 +380,32 @@ def _check_baseline_mechanism(tree: SourceTree, passes) -> list[str]:
         problems.append("partial baseline failed to keep new findings "
                         "failing")
     return problems
+
+
+def _check_out_of_tree_compile_db() -> list[str]:
+    """An out-of-tree build keeps compile_commands.json outside the repo:
+    grounding on such a database must cover its TUs and name it by its
+    absolute path."""
+    sources = sorted(p.relative_to(TESTDATA).as_posix()
+                     for p in (TESTDATA / "src").rglob("*.cc"))
+    with tempfile.TemporaryDirectory(prefix="analyze-build-") as build_dir:
+        db_path = Path(build_dir) / "compile_commands.json"
+        db_path.write_text(json.dumps([
+            {"directory": build_dir, "file": str(TESTDATA / rel),
+             "command": f"c++ -c {TESTDATA / rel}"}
+            for rel in sources]), encoding="utf-8")
+        try:
+            tree, _orphans, notes = ground_tree(TESTDATA, db_path,
+                                                use_cache=False)
+        except ValueError as error:
+            return [f"grounding on an out-of-tree compile DB raised: {error}"]
+        problems = []
+        if not set(sources) <= (tree.universe or set()):
+            problems.append("out-of-tree compile DB: universe misses its TUs")
+        if not any(db_path.resolve().as_posix() in note for note in notes):
+            problems.append("out-of-tree compile DB: note does not name it "
+                            "by absolute path")
+        return problems
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Pass `clock-discipline`: platform code never reads a clock directly.
 
-The lifecycle layer (leases, expiry, the event trace) is time-driven, and
+The lifecycle layer (leases, expiry, the journal) is time-driven, and
 its tests replay thousands of seeded events against a virtual clock. That
 only works because every time read in src/platform flows through the
 injectable util::TickSource (src/util/tick.h): production wires in

@@ -7,7 +7,7 @@
 #
 # --hotpath instead reruns the PR 7 hot-path scaling benchmark
 # (bench/bench_hotpath_scaling.cc, schema v4: thread scaling, EM refresh,
-# fault tolerance, kernel sections) — kept runnable so older baselines can
+# fault tolerance, kernels section) — kept runnable so older baselines can
 # be regenerated for apples-to-apples diffs.
 #
 # Usage: tools/run_bench.sh [--out FILE] [--hotpath]
@@ -105,16 +105,6 @@ if kernels:
           f"cache_hit_rate={kernels['cache_hit_rate']:.2f} "
           f"overlay_rows={kernels['overlay_rows']} "
           f"closed_form_rows={kernels['closed_form_rows']}")
-for ko in report.get("kernel_optimization", []):
-    print(f"  kernel path n={ko['n']}: p50 assignment "
-          f"{ko['legacy_p50_assignment_seconds']*1e3:.2f}ms legacy -> "
-          f"{ko['optimized_p50_assignment_seconds']*1e3:.2f}ms optimized "
-          f"({ko['p50_speedup']:.2f}x), qw_estimate "
-          f"{ko['legacy_qw_estimate_ms']:.0f}ms -> "
-          f"{ko['optimized_qw_estimate_ms']:.0f}ms, topk_scan "
-          f"{ko['legacy_topk_scan_ms']:.0f}ms -> "
-          f"{ko['optimized_topk_scan_ms']:.0f}ms, identical decisions: "
-          f"{ko['identical_decisions']}")
 EOF
 
 echo "wrote ${OUT}"

@@ -57,7 +57,10 @@
 #      bit-identical per-app decision hashes and fingerprints, batching
 #      equivalence, cross-app isolation, mid-storm crash recovery) —
 #      under BOTH sanitizer builds: TSan for the data races the turnstile
-#      harness provokes, asan-ubsan for the DCHECK'd engine invariants
+#      harness provokes, asan-ubsan for the DCHECK'd engine invariants;
+#      then the "serving" and "faults" tests on the release build at
+#      ctest -j$(nproc), three times over, so tests that would share
+#      journal files between processes fail here
 #  12. observability smoke (ISSUE 8): qasca_sim --trace-out /
 #      --provenance-out on the release build, then structural validation of
 #      the Chrome trace JSON (sorted ts, balanced B/E per tid, nested
@@ -250,6 +253,11 @@ stage_begin "serving conformance suite (multi-app AppManager, TSan + asan-ubsan)
 # stage 3's lock-order freshness gate.)
 run ctest --preset tsan-serving -j "${JOBS}"
 run ctest --preset asan-ubsan-serving -j "${JOBS}"
+# ctest runs every discovered test as its own process; at full parallelism
+# any two that write the same journal files race. Always -j$(nproc), not
+# JOBS: the point is to provoke the overlap.
+run ctest --test-dir build-release -j"$(nproc)" --repeat until-fail:3 \
+  -L 'serving|faults'
 stage_pass
 
 stage_begin "observability smoke (trace export, provenance JSONL, bench diff)"
