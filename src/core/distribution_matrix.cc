@@ -1,6 +1,7 @@
 #include "core/distribution_matrix.h"
 
 #include <cmath>
+#include <utility>
 
 #include "util/fold.h"
 #include "util/invariants.h"
@@ -14,6 +15,18 @@ DistributionMatrix::DistributionMatrix(int num_questions, int num_labels)
              num_labels > 0 ? 1.0 / num_labels : 0.0) {
   QASCA_CHECK_GE(num_questions, 0);
   QASCA_CHECK_GT(num_labels, 0);
+}
+
+DistributionMatrix::DistributionMatrix(int num_questions, int num_labels,
+                                       std::vector<double> cells)
+    : num_questions_(num_questions),
+      num_labels_(num_labels),
+      cells_(std::move(cells)) {
+  QASCA_CHECK_GE(num_questions, 0);
+  QASCA_CHECK_GT(num_labels, 0);
+  QASCA_CHECK_EQ(cells_.size(),
+                 static_cast<size_t>(num_questions) * num_labels);
+  QASCA_DCHECK_OK(invariants::CheckDistributionMatrix(*this));
 }
 
 void DistributionMatrix::SetRow(QuestionIndex i,

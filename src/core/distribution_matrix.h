@@ -24,6 +24,11 @@ class DistributionMatrix {
   /// distribution — the paper's initial state for Qc (Section 5.1).
   DistributionMatrix(int num_questions, int num_labels);
 
+  /// Takes `cells` (row-major, num_questions * num_labels entries) as the
+  /// matrix's storage. Each row must already be a distribution.
+  DistributionMatrix(int num_questions, int num_labels,
+                     std::vector<double> cells);
+
   int num_questions() const noexcept { return num_questions_; }
   int num_labels() const noexcept { return num_labels_; }
 

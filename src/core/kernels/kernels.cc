@@ -248,7 +248,7 @@ void SampledQwRowsL2(const double* qc, const int* candidates, int rows,
     double o0;
     double o1;
     if (norm <= 0.0) {
-      o0 = 0.5;  // NormalizeRowInPlace's uniform fallback, 1.0 / n
+      o0 = 0.5;  // NormalizePosteriorRow's uniform fallback, 1.0 / n
       o1 = 0.5;
     } else {
       o0 = w0 / norm;

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "model/likelihood_cache.h"
+#include "core/kernels/kernels.h"
 #include "model/posterior.h"
 #include "model/prior.h"
 #include "util/fold.h"
@@ -16,124 +17,6 @@
 #include "util/thread_pool.h"
 
 namespace qasca {
-namespace {
-
-// Per-worker view of the answer set: which questions the worker answered
-// and with which label.
-struct WorkerAnswers {
-  std::vector<QuestionIndex> questions;
-  std::vector<LabelIndex> labels;
-};
-
-// Grouped per-worker answers in ascending WorkerId order. The M-step and
-// the DCHECK objective fold iterate this vector, so model fits, the
-// insertion order of EmResult::workers and every floating-point
-// accumulation over workers are independent of unordered_map bucket layout
-// (the determinism pass of tools/analyze.py bans decision-feeding
-// iteration over unordered containers in src/model).
-std::vector<std::pair<WorkerId, WorkerAnswers>> GroupByWorker(
-    const AnswerSet& answers) {
-  // Counting pre-pass so each worker's answer arrays are sized once: the
-  // fill loop below runs per full EM refit over the whole answer set, and
-  // unreserved growth there is pure allocator churn (hot-path-alloc pass).
-  std::unordered_map<WorkerId, size_t> answer_counts;
-  for (size_t i = 0; i < answers.size(); ++i) {
-    for (const Answer& answer : answers[i]) ++answer_counts[answer.worker];
-  }
-  std::unordered_map<WorkerId, WorkerAnswers> by_worker;
-  by_worker.reserve(answer_counts.size());
-  for (size_t i = 0; i < answers.size(); ++i) {
-    for (const Answer& answer : answers[i]) {
-      WorkerAnswers& wa = by_worker[answer.worker];
-      if (wa.questions.empty()) {
-        const size_t count = answer_counts[answer.worker];
-        wa.questions.reserve(count);
-        wa.labels.reserve(count);
-      }
-      wa.questions.push_back(static_cast<QuestionIndex>(i));
-      wa.labels.push_back(answer.label);
-    }
-  }
-  std::vector<std::pair<WorkerId, WorkerAnswers>> ordered;
-  ordered.reserve(by_worker.size());
-  // Drain order is irrelevant: the vector is sorted by id right below.
-  for (auto& [worker, wa] : by_worker) {  // analyze:allow(determinism)
-    ordered.emplace_back(worker, std::move(wa));
-  }
-  std::sort(ordered.begin(), ordered.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return ordered;
-}
-
-// M-step: re-fit one worker's model from the current posteriors.
-WorkerModel FitWorker(const WorkerAnswers& wa,
-                      const DistributionMatrix& posterior, int num_labels,
-                      const EmOptions& options) {
-  if (options.worker_kind == WorkerModel::Kind::kWorkerProbability) {
-    // m_w = expected fraction of this worker's answers that match the true
-    // label, Laplace-smoothed. Both accumulators run through the blessed
-    // left-to-right fold seeded with their smoothing pseudo-counts, which
-    // reproduces the historical `seed; seed += term` order bit-for-bit.
-    const int answered = static_cast<int>(wa.questions.size());
-    const double agree = util::DeterministicFold(
-        options.smoothing, 0, answered, [&](double acc, int a) {
-          return acc + posterior.At(wa.questions[static_cast<size_t>(a)],
-                                    wa.labels[static_cast<size_t>(a)]);
-        });
-    const double total = util::DeterministicFold(
-        2.0 * options.smoothing, 0, answered,
-        [](double acc, int) { return acc + 1.0; });
-    return WorkerModel::Wp(std::clamp(agree / total, 0.0, 1.0), num_labels);
-  }
-
-  // Confusion matrix: M[j][j'] = expected count of (true j, answered j')
-  // over expected count of true j among this worker's answers.
-  std::vector<double> counts(static_cast<size_t>(num_labels) * num_labels,
-                             options.smoothing);
-  for (size_t a = 0; a < wa.questions.size(); ++a) {
-    std::span<const double> row = posterior.Row(wa.questions[a]);
-    for (int j = 0; j < num_labels; ++j) {
-      counts[static_cast<size_t>(j) * num_labels + wa.labels[a]] += row[j];
-    }
-  }
-  for (int j = 0; j < num_labels; ++j) {
-    const double row_total =
-        util::DeterministicSum(0, num_labels, [&](int j2) {
-          return counts[static_cast<size_t>(j) * num_labels + j2];
-        });
-    for (int j2 = 0; j2 < num_labels; ++j2) {
-      counts[static_cast<size_t>(j) * num_labels + j2] /= row_total;
-    }
-  }
-  return WorkerModel::Cm(std::move(counts), num_labels);
-}
-
-#if QASCA_ENABLE_DCHECKS
-// Log Dirichlet/Beta penalty the smoothed M-step implicitly maximises:
-// smoothing * sum(log theta) over the fitted worker parameters. Adding it
-// to the data log-likelihood gives the objective MAP-EM ascends, which is
-// the quantity the monotonicity DCHECK tracks (the raw likelihood alone may
-// legitimately dip when smoothing > 0). Returns false if any parameter sits
-// on the boundary (log would be -inf; only possible with smoothing == 0,
-// where the penalty is zero anyway and the caller passes over it).
-bool AccumulateLogPenalty(const WorkerModel& model, double smoothing,
-                          double* penalty) {
-  if (smoothing <= 0.0) return true;
-  if (model.kind() == WorkerModel::Kind::kWorkerProbability) {
-    double m = model.worker_probability();
-    if (m <= 0.0 || m >= 1.0) return false;
-    *penalty += smoothing * (std::log(m) + std::log(1.0 - m));
-    return true;
-  }
-  for (double entry : model.AsConfusionMatrix()) {
-    if (entry <= 0.0) return false;
-    *penalty += smoothing * std::log(entry);
-  }
-  return true;
-}
-#endif
-
-}  // namespace
 
 const WorkerModel& EmResult::WorkerFor(WorkerId worker) const {
   auto it = workers.find(worker);
@@ -162,98 +45,345 @@ struct EStepPartial {
   bool marginals_positive = true;
 };
 
-// Shared E/M loop: iterate from the posterior already stored in `result`.
-EmResult RunEmIterations(const AnswerSet& answers, int num_labels,
-                         const EmOptions& options, EmResult result,
-                         util::ThreadPool* pool,
-                         util::MetricRegistry* telemetry) {
+// The answer set D laid out flat for one refit (DESIGN.md §8). Workers get
+// dense slots in ascending id order, so every fold over workers runs in the
+// ascending-id order the fitted models are pinned to, independent of
+// unordered_map bucket layout (the determinism pass of tools/analyze.py).
+// Each answer's slot is stored once, in question order beside D itself;
+// its label is read from D.
+struct AnswerLayout {
+  // Slot -> worker id, ascending.
+  std::vector<WorkerId> workers;
+  // Slot -> how many answers the worker gave.
+  std::vector<int> slot_answers;
+  // Question i's answers have slots slots[question_begin[i],
+  // question_begin[i + 1]), in D_i's order.
+  std::vector<int> question_begin;
+  std::vector<int> slots;
+};
+
+AnswerLayout BuildLayout(const AnswerSet& answers, int num_labels) {
+  AnswerLayout layout;
   const int n = static_cast<int>(answers.size());
-  const std::vector<std::pair<WorkerId, WorkerAnswers>> grouped =
-      GroupByWorker(answers);
-  std::vector<EStepPartial> partials(
-      static_cast<size_t>(util::NumChunks(0, n, kEStepGrain)));
-
-  // Per-worker likelihood tables for the table-based posterior kernel
-  // (model/likelihood_cache.h). Entries are created once here — grouped is
-  // exactly the fitted-worker set — and rebuilt in place after each
-  // M-step, so the E-step's per-answer inner loop is one contiguous
-  // elementwise multiply with no per-row table construction.
-  std::unordered_map<WorkerId, WorkerLikelihoods> tables;
-  tables.reserve(grouped.size());
-  for (const auto& [worker, wa] : grouped) {
-    tables.emplace(worker, WorkerLikelihoods{});
+  layout.question_begin.resize(static_cast<size_t>(n) + 1);
+  int total = 0;
+  for (int i = 0; i < n; ++i) {
+    layout.question_begin[static_cast<size_t>(i)] = total;
+    total += static_cast<int>(answers[static_cast<size_t>(i)].size());
   }
-  WorkerLikelihoods fallback_table;
-  // One posterior-row buffer per E-step chunk, reused across rows and
-  // iterations (the out-parameter posterior API; no per-row allocation).
-  std::vector<std::vector<double>> chunk_rows(partials.size());
+  layout.question_begin[static_cast<size_t>(n)] = total;
+
+  // One hash lookup per answer for the whole refit: slots are first
+  // numbered in order of first appearance, then renumbered by id below.
+  std::unordered_map<WorkerId, int> first_seen;
+  layout.slots.resize(static_cast<size_t>(total));
+  size_t next = 0;
+  for (const AnswerList& list : answers) {
+    for (const Answer& answer : list) {
+      QASCA_CHECK(answer.label >= 0 && answer.label < num_labels)
+          << "answer label" << answer.label << "out of range";
+      layout.slots[next++] =
+          first_seen
+              .try_emplace(answer.worker, static_cast<int>(first_seen.size()))
+              .first->second;
+    }
+  }
+  // Copy order is irrelevant: the pairs are sorted by id right below.
+  std::vector<std::pair<WorkerId, int>> by_id(first_seen.begin(),
+                                              first_seen.end());
+  std::sort(by_id.begin(), by_id.end());
+  const size_t num_slots = by_id.size();
+  layout.workers.resize(num_slots);
+  std::vector<int> slot_of_provisional(num_slots);
+  for (size_t s = 0; s < num_slots; ++s) {
+    layout.workers[s] = by_id[s].first;
+    slot_of_provisional[static_cast<size_t>(by_id[s].second)] =
+        static_cast<int>(s);
+  }
+  layout.slot_answers.assign(num_slots, 0);
+  for (int& slot : layout.slots) {
+    slot = slot_of_provisional[static_cast<size_t>(slot)];
+    ++layout.slot_answers[static_cast<size_t>(slot)];
+  }
+  return layout;
+}
 
 #if QASCA_ENABLE_DCHECKS
-  // MAP objective (data log-likelihood + log penalty) of the previous
-  // iteration's parameters; EM theory guarantees it never decreases.
-  double previous_objective = 0.0;
-  bool have_previous_objective = false;
+// Log Dirichlet/Beta penalty the smoothed M-step implicitly maximises:
+// smoothing * sum(log theta) over one worker's fitted parameters (`params`
+// holds m for WP, the row-major confusion matrix otherwise). Adding it to
+// the data log-likelihood gives the objective MAP-EM ascends, which is the
+// quantity the monotonicity DCHECK tracks (the raw likelihood alone may
+// legitimately dip when smoothing > 0). Returns false if any parameter sits
+// on the boundary (log would be -inf; only possible with smoothing == 0,
+// where the penalty is zero anyway and the caller passes over it).
+bool AccumulateLogPenalty(bool wp, std::span<const double> params,
+                          double smoothing, double* penalty) {
+  if (smoothing <= 0.0) return true;
+  if (wp) {
+    const double m = params[0];
+    if (m <= 0.0 || m >= 1.0) return false;
+    *penalty += smoothing * (std::log(m) + std::log(1.0 - m));
+    return true;
+  }
+  for (double entry : params) {
+    if (entry <= 0.0) return false;
+    *penalty += smoothing * std::log(entry);
+  }
+  return true;
+}
 #endif
 
-  for (int iteration = 1; iteration <= options.max_iterations; ++iteration) {
-    result.iterations = iteration;
+// One refit's working state: the flat answer layout, the flat n-by-l
+// posterior, and per slot its fitted parameters (m for WP, the row-major
+// confusion matrix for CM) and its l-by-l likelihood table (row `answered`
+// holds P(a = answered | t = truth) over truth, the WorkerLikelihoods
+// layout), refilled after every M-step.
+class Refit {
+ public:
+  Refit(const AnswerSet& answers, int num_labels, const EmOptions& options,
+        util::ThreadPool* pool)
+      : answers_(answers),
+        layout_(BuildLayout(answers, num_labels)),
+        n_(static_cast<int>(answers.size())),
+        l_(num_labels),
+        cells_(static_cast<size_t>(num_labels) * num_labels),
+        options_(options),
+        wp_(options.worker_kind == WorkerModel::Kind::kWorkerProbability),
+        pool_(pool),
+        posterior_(static_cast<size_t>(n_) * num_labels),
+        partials_(static_cast<size_t>(util::NumChunks(0, n_, kEStepGrain))),
+        chunk_rows_(partials_.size() * num_labels),
+        tables_(layout_.workers.size() * cells_),
+        params_(layout_.workers.size() * (wp_ ? 1 : cells_)) {
+    if (wp_) {
+      // The WP M-step's denominator, 2 * smoothing plus one per answer
+      // folded left to right, depends only on the answer count.
+      wp_total_.resize(layout_.workers.size());
+      for (size_t s = 0; s < wp_total_.size(); ++s) {
+        wp_total_[s] = util::DeterministicFold(
+            2.0 * options_.smoothing, 0, layout_.slot_answers[s],
+            [](double acc, int) { return acc + 1.0; });
+      }
+    }
+  }
 
-    // M-step: worker models and prior from posteriors.
-    result.workers.clear();
-    for (const auto& [worker, wa] : grouped) {
-      result.workers.emplace(
-          worker, FitWorker(wa, result.posterior, num_labels, options));
+  // Dawid–Skene bootstrap: every row from smoothed vote counts.
+  void SeedFromVotes() {
+    for (int i = 0; i < n_; ++i) {
+      double* row = Row(i);
+      std::fill(row, row + l_, 1.0);
+      for (const Answer& answer : answers_[static_cast<size_t>(i)]) {
+        row[answer.label] += 1.0;
+      }
+      const double total =
+          util::DeterministicSum(0, l_, [row](int j) { return row[j]; });
+      for (int j = 0; j < l_; ++j) row[j] /= total;
     }
-    if (options.estimate_prior) {
-      result.prior = EstimatePrior(result.posterior);
+  }
+
+  // Warm start: one E-step under `previous`'s models (its fallback for
+  // workers it never fitted).
+  void SeedFromModels(const EmResult& previous,
+                      const std::vector<double>& prior) {
+    for (size_t s = 0; s < layout_.workers.size(); ++s) {
+      const WorkerModel& model = previous.WorkerFor(layout_.workers[s]);
+      QASCA_CHECK_EQ(model.num_labels(), l_);
+      double* table = Table(s);
+      for (int answered = 0; answered < l_; ++answered, table += l_) {
+        for (int truth = 0; truth < l_; ++truth) {
+          table[truth] = model.AnswerProbability(answered, truth);
+        }
+      }
     }
+    EStep(prior);
+  }
+
+  // The E/M loop from the seeded posterior. Leaves the models, prior and
+  // iteration count in `result` and moves the posterior there, so it runs
+  // once per Refit.
+  void Run(EmResult* result, util::MetricRegistry* telemetry) {
+#if QASCA_ENABLE_DCHECKS
+    // MAP objective (data log-likelihood + log penalty) of the previous
+    // iteration's parameters; EM theory guarantees it never decreases.
+    double previous_objective = 0.0;
+    bool have_previous_objective = false;
+#endif
+    for (int iteration = 1; iteration <= options_.max_iterations;
+         ++iteration) {
+      result->iterations = iteration;
+
+      // M-step: worker models and prior from posteriors.
+      FitSlots();
+      if (options_.estimate_prior) {
+        EstimatePriorInto(posterior_, l_, &result->prior);
+      }
 
 #if QASCA_ENABLE_DCHECKS
-    double objective = 0.0;
-    bool objective_valid = true;
-    // Fold in ascending-WorkerId order (grouped's order, which is exactly
-    // the fitted-worker set) so the objective is bit-stable across runs.
-    for (const auto& [worker, wa] : grouped) {
-      objective_valid =
-          objective_valid && AccumulateLogPenalty(result.WorkerFor(worker),
-                                                  options.smoothing,
-                                                  &objective);
-    }
+      double objective = 0.0;
+      bool objective_valid = true;
+      // Ascending-slot (= ascending-id) order, so the objective is
+      // bit-stable across runs.
+      for (size_t s = 0; s < layout_.workers.size(); ++s) {
+        objective_valid =
+            objective_valid && AccumulateLogPenalty(wp_, Params(s),
+                                                    options_.smoothing,
+                                                    &objective);
+      }
 #endif
 
-    // Refresh the likelihood tables against the models this M-step just
-    // fitted (grouped's ascending-id order; the table values are the
-    // AnswerProbability doubles verbatim, so the table-based E-step below
-    // is bit-identical to the model-call loop it replaced).
-    for (const auto& [worker, wa] : grouped) {
-      tables.find(worker)->second.Rebuild(result.WorkerFor(worker));
-    }
-    fallback_table.Rebuild(result.fallback);
+      EStep(result->prior);
+      double max_change = 0.0;
+      for (const EStepPartial& part : partials_) {
+        max_change = std::max(max_change, part.max_change);
+      }
 
-    // E-step: posteriors from worker models and prior (Eq. 16). Rows are
-    // independent, so the sweep runs chunk-parallel; each chunk writes its
-    // own posterior rows and reduction slot, and the slots fold in chunk
-    // order below.
-    LikelihoodLookup lookup =
-        [&tables, &fallback_table](WorkerId worker) -> const WorkerLikelihoods& {
-      auto it = tables.find(worker);
-      return it != tables.end() ? it->second : fallback_table;
-    };
-    partials.assign(partials.size(), EStepPartial{});
-    util::ParallelFor(pool, 0, n, kEStepGrain, [&](int cb, int ce) {
+#if QASCA_ENABLE_DCHECKS
+      objective = util::DeterministicFold(
+          objective, 0, static_cast<int>(partials_.size()),
+          [&](double acc, int p) {
+            return acc + partials_[static_cast<size_t>(p)].log_marginal;
+          });
+      for (const EStepPartial& part : partials_) {
+        objective_valid = objective_valid && part.marginals_positive;
+      }
+      if (have_previous_objective && objective_valid) {
+        QASCA_DCHECK_OK(invariants::CheckLogLikelihoodMonotone(
+            previous_objective, objective,
+            /*tolerance=*/1e-8 * (1.0 + std::fabs(previous_objective))));
+      }
+      previous_objective = objective;
+      have_previous_objective = objective_valid;
+#endif
+
+      if (max_change <= options_.tolerance) break;
+    }
+    if (telemetry != nullptr) {
+      // Iterations-to-convergence of this fit (Section 5.2's EM loop).
+      telemetry->GetCounter(util::tnames::kEmIterations)
+          ->Add(result->iterations);
+    }
+
+    result->posterior = DistributionMatrix(n_, l_, std::move(posterior_));
+    if (result->iterations > 0) {
+      result->workers.reserve(layout_.workers.size());
+      for (size_t s = 0; s < layout_.workers.size(); ++s) {
+        const std::span<const double> params = Params(s);
+        result->workers.emplace(
+            layout_.workers[s],
+            wp_ ? WorkerModel::Wp(params[0], l_)
+                : WorkerModel::Cm({params.begin(), params.end()}, l_));
+      }
+    }
+  }
+
+ private:
+  const int* Slots(int question) const {
+    return layout_.slots.data() +
+           layout_.question_begin[static_cast<size_t>(question)];
+  }
+  double* Row(int question) {
+    return posterior_.data() + static_cast<size_t>(question) * l_;
+  }
+  double* Table(size_t slot) { return tables_.data() + slot * cells_; }
+  std::span<double> Params(size_t slot) {
+    const size_t size = wp_ ? 1 : cells_;
+    return {params_.data() + slot * size, size};
+  }
+
+  // M-step: re-fits every slot from the flat posterior, runs the checks
+  // WorkerModel::Wp / Cm apply to a model on each fit, and refills the
+  // slot's likelihood table.
+  void FitSlots() {
+    // Expected counts, seeded with the smoothing pseudo-counts: per WP slot
+    // the answers that match the true label, per CM slot the (true j,
+    // answered j') pairs. One sweep over D in question order hands every
+    // slot its answers' terms in question order, the order of a per-worker
+    // left-to-right fold.
+    std::fill(params_.begin(), params_.end(), options_.smoothing);
+    for (int i = 0; i < n_; ++i) {
+      const double* row = Row(i);
+      const int* slot = Slots(i);
+      for (const Answer& answer : answers_[static_cast<size_t>(i)]) {
+        double* counts = Params(static_cast<size_t>(*slot++)).data();
+        if (wp_) {
+          counts[0] += row[answer.label];
+          continue;
+        }
+        for (int j = 0; j < l_; ++j) {
+          counts[static_cast<size_t>(j) * l_ + answer.label] += row[j];
+        }
+      }
+    }
+    for (size_t s = 0; s < layout_.workers.size(); ++s) {
+      double* table = Table(s);
+      if (wp_) {
+        // m_w = expected fraction of this worker's answers that match the
+        // true label.
+        const double m = std::clamp(params_[s] / wp_total_[s], 0.0, 1.0);
+        QASCA_CHECK_GE(m, 0.0);
+        QASCA_CHECK_LE(m, 1.0);
+        params_[s] = m;
+        // The WorkerModel::AnswerProbability doubles verbatim.
+        const double off = l_ > 1 ? (1.0 - m) / (l_ - 1) : 0.0;
+        for (int answered = 0; answered < l_; ++answered, table += l_) {
+          for (int truth = 0; truth < l_; ++truth) {
+            table[truth] = answered == truth ? m : off;
+          }
+        }
+        continue;
+      }
+      // Confusion matrix: M[j][j'] = expected count of (true j, answered j')
+      // over expected count of true j among this worker's answers.
+      double* counts = Params(s).data();
+      for (int j = 0; j < l_; ++j) {
+        double* truth_row = counts + static_cast<size_t>(j) * l_;
+        const double row_total = util::DeterministicSum(
+            0, l_, [truth_row](int j2) { return truth_row[j2]; });
+        for (int j2 = 0; j2 < l_; ++j2) truth_row[j2] /= row_total;
+      }
+      QASCA_CHECK_OK(invariants::CheckConfusionMatrix(Params(s), l_));
+      for (int answered = 0; answered < l_; ++answered, table += l_) {
+        for (int truth = 0; truth < l_; ++truth) {
+          table[truth] = counts[static_cast<size_t>(truth) * l_ + answered];
+        }
+      }
+    }
+  }
+
+  // E-step: every posterior row from the prior and the slot tables
+  // (Eq. 16). Rows are independent, so the sweep runs chunk-parallel; each
+  // chunk writes its own rows and reduction slot, which Run() folds in
+  // chunk order.
+  void EStep(const std::vector<double>& prior) {
+    const bool plain = l_ <= kPlainRowMaxLabels;
+    partials_.assign(partials_.size(), EStepPartial{});
+    util::ParallelFor(pool_, 0, n_, kEStepGrain, [&](int cb, int ce) {
       const size_t chunk =
           static_cast<size_t>(util::ChunkIndex(0, cb, kEStepGrain));
-      EStepPartial& part = partials[chunk];
-      std::vector<double>& row = chunk_rows[chunk];
+      EStepPartial& part = partials_[chunk];
+      double* row = chunk_rows_.data() + chunk * l_;
       for (int i = cb; i < ce; ++i) {
-        double marginal = 0.0;
-        ComputePosteriorRowWithLikelihoods(answers[i], result.prior, lookup,
-                                           &row, &marginal);
-        for (int j = 0; j < num_labels; ++j) {
-          part.max_change = std::max(
-              part.max_change, std::fabs(row[j] - result.posterior.At(i, j)));
+        std::copy(prior.begin(), prior.end(), row);
+        const int* slot = Slots(i);
+        for (const Answer& answer : answers_[static_cast<size_t>(i)]) {
+          const double* likelihood = Table(static_cast<size_t>(*slot++)) +
+                                     static_cast<size_t>(answer.label) * l_;
+          if (plain) {
+            for (int j = 0; j < l_; ++j) row[j] *= likelihood[j];
+          } else {
+            kernels::MulRowInPlace(row, likelihood, l_);
+          }
         }
-        result.posterior.SetRow(i, row);
+        const double marginal = NormalizePosteriorRow(row, l_);
+        QASCA_DCHECK_OK(invariants::CheckDistributionRow(
+            std::span<const double>(row, static_cast<size_t>(l_))));
+        double* cell = Row(i);
+        for (int j = 0; j < l_; ++j) {
+          part.max_change =
+              std::max(part.max_change, std::fabs(row[j] - cell[j]));
+          cell[j] = row[j];
+        }
 #if QASCA_ENABLE_DCHECKS
         if (marginal > 0.0) {
           part.log_marginal += std::log(marginal);
@@ -262,41 +392,35 @@ EmResult RunEmIterations(const AnswerSet& answers, int num_labels,
           // row is not a true posterior, so the ascent guarantee lapses.
           part.marginals_positive = false;
         }
+#else
+        (void)marginal;
 #endif
       }
     });
-    double max_change = 0.0;
-    for (const EStepPartial& part : partials) {
-      max_change = std::max(max_change, part.max_change);
-    }
-
-#if QASCA_ENABLE_DCHECKS
-    objective = util::DeterministicFold(
-        objective, 0, static_cast<int>(partials.size()),
-        [&](double acc, int p) {
-          return acc + partials[static_cast<size_t>(p)].log_marginal;
-        });
-    for (const EStepPartial& part : partials) {
-      objective_valid = objective_valid && part.marginals_positive;
-    }
-    if (have_previous_objective && objective_valid) {
-      QASCA_DCHECK_OK(invariants::CheckLogLikelihoodMonotone(
-          previous_objective, objective,
-          /*tolerance=*/1e-8 * (1.0 + std::fabs(previous_objective))));
-    }
-    previous_objective = objective;
-    have_previous_objective = objective_valid;
-#endif
-
-    if (max_change <= options.tolerance) break;
   }
-  if (telemetry != nullptr) {
-    // Iterations-to-convergence of this fit (Section 5.2's EM loop).
-    telemetry->GetCounter(util::tnames::kEmIterations)
-        ->Add(result.iterations);
-  }
-  QASCA_DCHECK_OK(invariants::CheckDistributionMatrix(result.posterior));
-  return result;
+
+  const AnswerSet& answers_;
+  const AnswerLayout layout_;
+  const int n_;
+  const int l_;
+  const size_t cells_;
+  const EmOptions& options_;
+  const bool wp_;
+  util::ThreadPool* const pool_;
+  std::vector<double> posterior_;
+  std::vector<EStepPartial> partials_;
+  // One l-sized scratch row per E-step chunk.
+  std::vector<double> chunk_rows_;
+  std::vector<double> tables_;
+  std::vector<double> params_;
+  // Per slot, the WP M-step's smoothed answer count.
+  std::vector<double> wp_total_;
+};
+
+WorkerModel PerfectModel(const EmOptions& options, int num_labels) {
+  return options.worker_kind == WorkerModel::Kind::kConfusionMatrix
+             ? WorkerModel::PerfectCm(num_labels)
+             : WorkerModel::PerfectWp(num_labels);
 }
 
 }  // namespace
@@ -305,24 +429,13 @@ EmResult RunEm(const AnswerSet& answers, int num_labels,
                const EmOptions& options, util::ThreadPool* pool,
                util::MetricRegistry* telemetry) {
   QASCA_CHECK_GT(num_labels, 0);
-  const int n = static_cast<int>(answers.size());
-
   EmResult result;
   result.prior = UniformPrior(num_labels);
-  result.posterior = DistributionMatrix(n, num_labels);
-  result.fallback = options.worker_kind == WorkerModel::Kind::kConfusionMatrix
-                        ? WorkerModel::PerfectCm(num_labels)
-                        : WorkerModel::PerfectWp(num_labels);
-
-  // Dawid–Skene bootstrap: initialise posteriors from smoothed vote counts.
-  std::vector<double> votes(num_labels);
-  for (int i = 0; i < n; ++i) {
-    std::fill(votes.begin(), votes.end(), 1.0);
-    for (const Answer& answer : answers[i]) votes[answer.label] += 1.0;
-    result.posterior.SetRowNormalized(i, votes);
-  }
-  return RunEmIterations(answers, num_labels, options, std::move(result),
-                         pool, telemetry);
+  result.fallback = PerfectModel(options, num_labels);
+  Refit refit(answers, num_labels, options, pool);
+  refit.SeedFromVotes();
+  refit.Run(&result, telemetry);
+  return result;
 }
 
 EmResult RunEmWarmStart(const AnswerSet& answers, int num_labels,
@@ -344,33 +457,16 @@ EmResult RunEmWarmStart(const AnswerSet& answers, int num_labels,
   result.prior = previous.prior.size() == static_cast<size_t>(num_labels)
                      ? previous.prior
                      : UniformPrior(num_labels);
-  result.fallback = options.worker_kind == WorkerModel::Kind::kConfusionMatrix
-                        ? WorkerModel::PerfectCm(num_labels)
-                        : WorkerModel::PerfectWp(num_labels);
+  result.fallback = PerfectModel(options, num_labels);
   // Seed from the previous *worker models*, not the previous posteriors: an
   // initial E-step against the full (old + new) answer set re-anchors every
   // posterior to the data, so stale per-question beliefs cannot persist and
   // the label-flip degeneracies a posterior-seeded restart can drift into
   // are avoided.
-  result.posterior = DistributionMatrix(n, num_labels);
-  WorkerModelLookup lookup =
-      [&previous](WorkerId worker) -> const WorkerModel& {
-    return previous.WorkerFor(worker);
-  };
-  // One posterior-row buffer per chunk (out-parameter API; no per-row
-  // allocation in the sweep).
-  std::vector<std::vector<double>> warm_rows(
-      static_cast<size_t>(util::NumChunks(0, n, kEStepGrain)));
-  util::ParallelFor(pool, 0, n, kEStepGrain, [&](int cb, int ce) {
-    std::vector<double>& row =
-        warm_rows[static_cast<size_t>(util::ChunkIndex(0, cb, kEStepGrain))];
-    for (int i = cb; i < ce; ++i) {
-      ComputePosteriorRowInto(answers[i], result.prior, lookup, &row);
-      result.posterior.SetRow(i, row);
-    }
-  });
-  return RunEmIterations(answers, num_labels, options, std::move(result),
-                         pool, telemetry);
+  Refit refit(answers, num_labels, options, pool);
+  refit.SeedFromModels(previous, result.prior);
+  refit.Run(&result, telemetry);
+  return result;
 }
 
 }  // namespace qasca

@@ -12,29 +12,9 @@
 namespace qasca {
 namespace {
 
-// Scales the n weights at `w` to sum to one and returns the
-// pre-normalisation total. A non-positive total (all labels ruled out, which
-// can happen with degenerate 0/1 worker models giving contradictory answers)
-// falls back to uniform rather than abort: the data is inconsistent with the
-// model, not with the caller.
-//
-// The sum runs through kernels::RowSum (the fixed 4-lane fold, bit-identical
-// on every ISA) and the scale through kernels::DivRow (elementwise true
-// division, exact per IEEE). Every posterior / Qw row in the tree is
-// normalised by this one helper, so EstimateWorkerDistribution and the
-// overlay path normalise identically by construction.
-double NormalizeRowInPlace(double* w, int n) {
-  const double total = kernels::RowSum(w, n);
-  if (total <= 0.0) {
-    std::fill(w, w + n, 1.0 / static_cast<double>(n));
-    return total;
-  }
-  kernels::DivRow(w, n, total);
-  return total;
-}
-
 double NormalizeInPlace(std::vector<double>& weights) {
-  return NormalizeRowInPlace(weights.data(), static_cast<int>(weights.size()));
+  return NormalizePosteriorRow(weights.data(),
+                               static_cast<int>(weights.size()));
 }
 
 }  // namespace
@@ -342,10 +322,10 @@ void EstimateWorkerRowsInto(const DistributionMatrix& current,
         if (dist[answered] <= 0.0) continue;
         kernels::MulRow(mix, cur.data(), likelihoods.Row(answered),
                         num_labels);
-        NormalizeRowInPlace(mix, num_labels);
+        NormalizePosteriorRow(mix, num_labels);
         kernels::AxpyRow(out, dist[answered], mix, num_labels);
       }
-      NormalizeRowInPlace(out, num_labels);
+      NormalizePosteriorRow(out, num_labels);
       if (row_max != nullptr) {
         row_max[c] = kernels::RowMax(out, num_labels);
       }

@@ -1,19 +1,54 @@
 #ifndef QASCA_MODEL_POSTERIOR_H_
 #define QASCA_MODEL_POSTERIOR_H_
 
+#include <algorithm>
 #include <functional>
 #include <vector>
 
 #include "core/assignment/qw_overlay.h"
 #include "core/distribution_matrix.h"
+#include "core/kernels/kernels.h"
 #include "core/types.h"
 #include "model/likelihood_cache.h"
 #include "model/worker_model.h"
+#include "util/fold.h"
 #include "util/rng.h"
 #include "util/telemetry.h"
 #include "util/thread_pool.h"
 
 namespace qasca {
+
+/// Rows of up to this many labels are multiplied, summed and divided with
+/// plain loops rather than dispatched kernels. There the 4-lane
+/// kernels::RowSum schedule is a strict left-to-right sum, and MulRow /
+/// DivRow are exact elementwise operations, so the loops give the kernels'
+/// bits on every ISA. Each loop only multiplies, only adds or only divides:
+/// nothing a compiler could contract into a fused multiply-add.
+inline constexpr int kPlainRowMaxLabels = 4;
+
+/// Scales the `num_labels` weights at `row` to sum to one and returns the
+/// pre-normalisation total (for a posterior row, the marginal likelihood of
+/// its answers). A non-positive total (all labels ruled out, which degenerate
+/// 0/1 worker models with contradictory answers can cause) falls back to
+/// uniform rather than abort: the data is inconsistent with the model, not
+/// with the caller. Every posterior and Qw row is normalised here.
+inline double NormalizePosteriorRow(double* row, int num_labels) {
+  const bool plain = num_labels <= kPlainRowMaxLabels;
+  const double total =
+      plain ? util::DeterministicSum(0, num_labels,
+                                     [row](int j) { return row[j]; })
+            : kernels::RowSum(row, num_labels);
+  if (total <= 0.0) {
+    std::fill(row, row + num_labels, 1.0 / static_cast<double>(num_labels));
+    return total;
+  }
+  if (plain) {
+    for (int j = 0; j < num_labels; ++j) row[j] /= total;
+  } else {
+    kernels::DivRow(row, num_labels, total);
+  }
+  return total;
+}
 
 /// Resolves a worker id to that worker's current model. Supplied by the
 /// caller (platform database, EM output, or simulation oracle).
@@ -34,10 +69,10 @@ std::vector<double> ComputePosteriorRow(const AnswerList& answers,
                                         const WorkerModelLookup& models,
                                         double* marginal = nullptr);
 
-/// Out-parameter variant of ComputePosteriorRow for the hot loops (E-step,
-/// incremental refresh): writes the posterior into `*out` (resized to the
-/// label count), so a caller-owned buffer is reused instead of allocating a
-/// fresh return vector per row. Identical results bit-for-bit.
+/// Out-parameter variant of ComputePosteriorRow: writes the posterior into
+/// `*out` (resized to the label count), so a caller-owned buffer is reused
+/// instead of allocating a fresh return vector per row. Identical results
+/// bit-for-bit.
 void ComputePosteriorRowInto(const AnswerList& answers,
                              const std::vector<double>& prior,
                              const WorkerModelLookup& models,

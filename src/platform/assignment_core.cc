@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "core/kernels/kernels.h"
 #include "model/posterior.h"
@@ -168,7 +169,9 @@ void AssignmentCore::WarmSharedState() { (void)TypicalWorker(); }
 void AssignmentCore::RunFullEmRefit() {
   util::Span span(&telemetry_, util::tnames::kSpanEmFullRefit);
   const bool check_drift = incremental_since_refit_;
-  DistributionMatrix incremental = database_.current();
+  // The incremental Qc is only needed by the drift check below.
+  std::optional<DistributionMatrix> incremental;
+  if (check_drift) incremental = database_.current();
   database_.SetParameters(
       config_.warm_start_em
           ? RunEmWarmStart(database_.answers(), config_.num_labels,
@@ -189,7 +192,7 @@ void AssignmentCore::RunFullEmRefit() {
     for (int i = 0; i < refit.num_questions(); ++i) {
       for (int j = 0; j < refit.num_labels(); ++j) {
         drift = std::max(drift,
-                         std::fabs(refit.At(i, j) - incremental.At(i, j)));
+                         std::fabs(refit.At(i, j) - incremental->At(i, j)));
       }
     }
     last_refresh_drift_ = drift;

@@ -1,5 +1,7 @@
 #include "platform/database.h"
 
+#include <algorithm>
+
 #include "model/prior.h"
 #include "util/logging.h"
 #include "util/telemetry_names.h"
@@ -9,12 +11,11 @@ namespace qasca {
 Database::Database(int num_questions, int num_labels)
     : num_questions_(num_questions),
       num_labels_(num_labels),
-      answers_(num_questions),
-      current_(num_questions, num_labels) {
+      answers_(num_questions) {
   QASCA_CHECK_GT(num_questions, 0);
   QASCA_CHECK_GT(num_labels, 1);
   parameters_.prior = UniformPrior(num_labels);
-  parameters_.posterior = current_;
+  parameters_.posterior = DistributionMatrix(num_questions, num_labels);
   parameters_.fallback = WorkerModel::PerfectWp(num_labels);
 }
 
@@ -31,12 +32,14 @@ void Database::AttachTelemetry(util::MetricRegistry* registry) {
 
 void Database::MarkAssigned(WorkerId worker,
                             const std::vector<QuestionIndex>& questions) {
-  std::unordered_set<QuestionIndex>& assigned = assigned_[worker];
+  std::vector<QuestionIndex>& assigned = assigned_[worker];
   for (QuestionIndex q : questions) {
     QASCA_CHECK_GE(q, 0);
     QASCA_CHECK_LT(q, num_questions_);
-    bool inserted = assigned.insert(q).second;
-    QASCA_CHECK(inserted) << "question assigned twice to the same worker";
+    auto at = std::lower_bound(assigned.begin(), assigned.end(), q);
+    QASCA_CHECK(at == assigned.end() || *at != q)
+        << "question assigned twice to the same worker";
+    assigned.insert(at, q);
   }
 }
 
@@ -45,11 +48,14 @@ void Database::Unassign(WorkerId worker,
   auto it = assigned_.find(worker);
   QASCA_CHECK(it != assigned_.end())
       << "unassigning from a worker with no assignments";
+  std::vector<QuestionIndex>& assigned = it->second;
   for (QuestionIndex q : questions) {
     QASCA_CHECK_GE(q, 0);
     QASCA_CHECK_LT(q, num_questions_);
-    QASCA_CHECK_EQ(it->second.erase(q), 1u)
+    auto at = std::lower_bound(assigned.begin(), assigned.end(), q);
+    QASCA_CHECK(at != assigned.end() && *at == q)
         << "question was not assigned to this worker";
+    assigned.erase(at);
   }
 }
 
@@ -71,9 +77,16 @@ std::vector<QuestionIndex> Database::CandidatesFor(WorkerId worker) const {
     for (int i = 0; i < num_questions_; ++i) candidates[i] = i;
     return candidates;
   }
-  candidates.reserve(num_questions_ - it->second.size());
+  // One merge walk of [0, n) against the ascending assigned list.
+  const std::vector<QuestionIndex>& assigned = it->second;
+  candidates.reserve(static_cast<size_t>(num_questions_) - assigned.size());
+  auto next_assigned = assigned.begin();
   for (int i = 0; i < num_questions_; ++i) {
-    if (!it->second.contains(i)) candidates.push_back(i);
+    if (next_assigned != assigned.end() && *next_assigned == i) {
+      ++next_assigned;
+    } else {
+      candidates.push_back(i);
+    }
   }
   return candidates;
 }
@@ -86,19 +99,15 @@ int Database::AnswerCount(QuestionIndex question) const {
 
 void Database::SetParameters(EmResult parameters) {
   parameters_ = std::move(parameters);
-  current_ = parameters_.posterior;
 }
 
 void Database::UpdatePosteriorRow(QuestionIndex question,
                                   std::span<const double> row) {
   QASCA_CHECK_GE(question, 0);
   QASCA_CHECK_LT(question, num_questions_);
-  // The engine may be mid-run with a posterior shaped before any full fit;
-  // both copies of the row must stay in lockstep so a later warm start and
-  // the assignment path read the same beliefs.
+  // The engine may be mid-run with a posterior shaped before any full fit.
   QASCA_CHECK_EQ(parameters_.posterior.num_questions(), num_questions_);
   parameters_.posterior.SetRow(question, row);
-  current_.SetRow(question, row);
   if (posterior_row_updates_ != nullptr) posterior_row_updates_->Add(1);
 }
 

@@ -3,7 +3,6 @@
 
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/distribution_matrix.h"
@@ -22,8 +21,8 @@ namespace qasca {
 /// in the paper's algorithms depends on persistence.
 ///
 /// Threading contract: single-writer, engine-thread-only — no internal
-/// locking, deliberately. All mutators (MarkAssigned, RecordAnswer,
-/// SetParameters, UpdatePosteriorRow, set_current) run on the engine
+/// locking, deliberately. All mutators (MarkAssigned, Unassign,
+/// RecordAnswer, SetParameters, UpdatePosteriorRow) run on the engine
 /// thread between kernel dispatches; ThreadPool chunks only ever see const
 /// references to `answers()`, `parameters()` and `current()` while no
 /// mutator can run (ParallelFor blocks the engine thread until every chunk
@@ -69,19 +68,18 @@ class Database {
   void SetParameters(EmResult parameters);
   const EmResult& parameters() const { return parameters_; }
 
-  /// Incremental Qc refresh: overwrites one posterior row in both the
-  /// cached parameters and the current distribution matrix, leaving worker
-  /// models and prior untouched. Used between full EM refits, when a HIT
-  /// completion changed only the answer sets of its k questions (the
-  /// posterior update of Eq. 5 touches exactly those rows). `row` must be a
-  /// normalised distribution of num_labels() entries.
+  /// Incremental Qc refresh: overwrites one posterior row of the cached
+  /// parameters (and with it current()), leaving worker models and prior
+  /// untouched. Used between full EM refits, when a HIT completion changed
+  /// only the answer sets of its k questions (the posterior update of Eq. 5
+  /// touches exactly those rows). `row` must be a normalised distribution
+  /// of num_labels() entries.
   void UpdatePosteriorRow(QuestionIndex question,
                           std::span<const double> row);
 
-  /// The current distribution matrix Qc. Before any HIT completes this is
-  /// the uniform prior (Section 5.1).
-  const DistributionMatrix& current() const { return current_; }
-  void set_current(DistributionMatrix qc) { current_ = std::move(qc); }
+  /// The current distribution matrix Qc: the cached parameters' posterior.
+  /// Before any HIT completes this is the uniform prior (Section 5.1).
+  const DistributionMatrix& current() const { return parameters_.posterior; }
 
  private:
   int num_questions_;
@@ -89,9 +87,9 @@ class Database {
   util::Counter* answers_recorded_ = nullptr;
   util::Counter* posterior_row_updates_ = nullptr;
   AnswerSet answers_;
-  std::unordered_map<WorkerId, std::unordered_set<QuestionIndex>> assigned_;
+  /// Each worker's assigned questions, ascending.
+  std::unordered_map<WorkerId, std::vector<QuestionIndex>> assigned_;
   EmResult parameters_;
-  DistributionMatrix current_;
 };
 
 }  // namespace qasca

@@ -187,7 +187,7 @@ util::StatusOr<std::vector<QuestionIndex>> TaskAssignmentEngine::RequestHit(
     provenance_record.journal_seq =
         journal_ == nullptr ? 0
         : replaying_       ? replay_journal_seq_
-                           : journal_->events().size() - 1;
+                           : journal_->last_seq();
     provenance_record.now_ticks = now_ticks_;
     provenance_record.lease_deadline = lease_deadline;
     provenance_->Record(std::move(provenance_record));
@@ -324,31 +324,30 @@ util::Status TaskAssignmentEngine::Recover() {
       << "Recover must run on a freshly constructed engine";
   replaying_ = true;
   replay_journal_seq_ = 0;
+  util::Status status = ReplayLoadedEvents();
+  replaying_ = false;
+  // Replayed events live on in the journal's files, not in memory.
+  journal_->ReleaseLoadedEvents();
+  return status;
+}
+
+util::Status TaskAssignmentEngine::ReplayLoadedEvents() {
   for (const LifecycleJournal::Event& event : journal_->events()) {
     switch (event.kind) {
       case LifecycleJournal::Event::Kind::kAssign: {
         util::StatusOr<std::vector<QuestionIndex>> selected =
             RequestHit(event.worker);
-        if (!selected.ok()) {
-          replaying_ = false;
-          return selected.status();
-        }
+        if (!selected.ok()) return selected.status();
         if (*selected != event.questions) {
-          replaying_ = false;
           return util::Status::Internal(
               "journal replay diverged from the strategy's selection — the "
               "journal was not written by this (config, seed)");
         }
         break;
       }
-      case LifecycleJournal::Event::Kind::kComplete: {
-        util::Status status = CompleteHit(event.worker, event.labels);
-        if (!status.ok()) {
-          replaying_ = false;
-          return status;
-        }
+      case LifecycleJournal::Event::Kind::kComplete:
+        QASCA_RETURN_IF_ERROR(CompleteHit(event.worker, event.labels));
         break;
-      }
       case LifecycleJournal::Event::Kind::kTick:
         Tick(event.ticks);
         break;
@@ -356,7 +355,6 @@ util::Status TaskAssignmentEngine::Recover() {
     instruments_.journal_events_replayed->Add(1);
     ++replay_journal_seq_;
   }
-  replaying_ = false;
   return util::Status::Ok();
 }
 

@@ -119,7 +119,8 @@ class TaskAssignmentEngine {
   /// Each replayed assignment re-runs the strategy and is verified against
   /// the journaled selection; a mismatch (journal from a different config
   /// or seed) fails with Internal. Must be called on a freshly constructed
-  /// engine; FailedPrecondition if persistence is off.
+  /// engine; FailedPrecondition if persistence is off. Either way the
+  /// journal frees its loaded events afterwards.
   QASCA_NODISCARD
   util::Status Recover();
 
@@ -252,6 +253,10 @@ class TaskAssignmentEngine {
   };
 
   static uint64_t HashLabels(const std::vector<LabelIndex>& labels);
+
+  /// Recover()'s loop over the journal's loaded events; stops at the first
+  /// event that fails to re-execute.
+  QASCA_NODISCARD util::Status ReplayLoadedEvents();
 
   /// Pre-resolved instrument handles, looked up once at construction so the
   /// per-HIT path never touches the registry map.

@@ -1,7 +1,9 @@
 #include "platform/journal.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <utility>
 
@@ -48,6 +50,10 @@ bool ParseLine(const std::string& line, LifecycleJournal::Event* event) {
     if (!(in >> event->worker >> count)) return false;
     event->kind = kind == "A" ? LifecycleJournal::Event::Kind::kAssign
                               : LifecycleJournal::Event::Kind::kComplete;
+    // Sized once; a line of L characters holds at most L / 2 values, which
+    // bounds the reservation a damaged count can ask for.
+    (kind == "A" ? event->questions : event->labels)
+        .reserve(std::min(count, line.size() / 2));
     for (size_t i = 0; i < count; ++i) {
       int value = 0;
       if (!(in >> value)) return false;
@@ -68,11 +74,20 @@ bool ParseLine(const std::string& line, LifecycleJournal::Event* event) {
   return !(in >> terminator);  // trailing garbage is damage too
 }
 
+size_t CountLines(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return static_cast<size_t>(std::count(std::istreambuf_iterator<char>(in),
+                                        std::istreambuf_iterator<char>(),
+                                        '\n'));
+}
+
 }  // namespace
 
 LifecycleJournal::LifecycleJournal(std::string path_prefix)
     : path_prefix_(std::move(path_prefix)) {
   QASCA_CHECK(!path_prefix_.empty());
+  // One event per line: sized once for every line on disk.
+  history_.reserve(CountLines(snapshot_path()) + CountLines(log_path()));
   // The snapshot is only ever replaced whole (tmp + rename), so every line
   // must parse and seqs must be contiguous from 0; anything else is data
   // corruption, not a crash artefact.
@@ -146,14 +161,17 @@ util::Status LifecycleJournal::AppendTick(uint64_t ticks) {
   return Append(std::move(event));
 }
 
+void LifecycleJournal::ReleaseLoadedEvents() {
+  std::vector<Event>().swap(history_);
+}
+
 util::Status LifecycleJournal::Append(Event event) {
   event.seq = next_seq_++;
   const std::string line = Serialize(event);
-  // The in-memory mirror always advances — these fail points simulate the
-  // *disk* losing the record in a crash the process never observes (so
-  // they return OK), after which the test abandons this instance and
-  // recovers a fresh engine from what reached the file.
-  history_.push_back(std::move(event));
+  // The seq always advances — these fail points simulate the *disk* losing
+  // the record in a crash the process never observes (so they return OK),
+  // after which the test abandons this instance and recovers a fresh
+  // engine from what reached the file.
   if (appends_ != nullptr) appends_->Add(1);
   if (QASCA_FAIL_POINT("journal.drop_append")) {
     if (failpoints_triggered_ != nullptr) failpoints_triggered_->Add(1);

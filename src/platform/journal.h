@@ -34,6 +34,10 @@ namespace qasca {
 /// Construction loads whatever survived and immediately compacts it, so a
 /// torn tail never receives further appends.
 ///
+/// Memory: the journal holds the loaded events until the engine's Recover()
+/// has replayed them and calls ReleaseLoadedEvents(); appended events go to
+/// the log file only, so nothing grows with the app's lifetime.
+///
 /// Threading contract: engine-thread-only, like the Database — appends
 /// happen between kernel dispatches on the thread driving the engine; pool
 /// workers never touch the journal.
@@ -67,8 +71,8 @@ class LifecycleJournal {
   /// did not verifiably reach the log file (open or write failure): the
   /// caller must not report the event as durable — an append that "succeeds"
   /// without reaching disk is exactly the silent recovery divergence the
-  /// journal exists to prevent. The in-memory history still advances, so a
-  /// caller that treats the failure as fatal crashes consistent.
+  /// journal exists to prevent. The seq still advances, so a caller that
+  /// treats the failure as fatal crashes consistent.
   QASCA_NODISCARD
   util::Status AppendAssign(WorkerId worker,
                             const std::vector<QuestionIndex>& questions);
@@ -77,25 +81,34 @@ class LifecycleJournal {
                               const std::vector<LabelIndex>& labels);
   QASCA_NODISCARD util::Status AppendTick(uint64_t ticks);
 
-  /// Folds the log into the snapshot: writes the full history to a temp
-  /// file, renames it over the snapshot, then truncates the log. A non-OK
-  /// Status means the snapshot was not replaced (the old one is intact —
-  /// the rename is atomic) or the log truncation failed; either way the
-  /// on-disk state is still recoverable, just uncompacted.
-  QASCA_NODISCARD util::Status Compact();
-
-  /// The event history that survived on disk, seq-ascending. Recovery
-  /// replays exactly this.
+  /// The events loaded at construction (what survived on disk),
+  /// seq-ascending; appends never add to it. Recovery replays exactly this.
   const std::vector<Event>& events() const { return history_; }
+
+  /// Frees the loaded events once recovery has replayed them; events()
+  /// is empty afterwards.
+  void ReleaseLoadedEvents();
+
+  /// Seq of the most recently appended event (the provenance join key).
+  /// Only meaningful after at least one append.
+  uint64_t last_seq() const { return next_seq_ - 1; }
 
  private:
   QASCA_NODISCARD util::Status Append(Event event);
+
+  /// Folds the log into the snapshot: writes the loaded history to a temp
+  /// file, renames it over the snapshot, then truncates the log. Runs once,
+  /// at construction, while history_ still holds every surviving event. A
+  /// non-OK Status means the snapshot was not replaced (the old one is
+  /// intact — the rename is atomic) or the log truncation failed; either
+  /// way the on-disk state is still recoverable, just uncompacted.
+  QASCA_NODISCARD util::Status Compact();
 
   std::string snapshot_path() const { return path_prefix_ + ".snapshot"; }
   std::string log_path() const { return path_prefix_ + ".log"; }
 
   std::string path_prefix_;
-  /// In-memory mirror of the on-disk history; source of truth for Compact.
+  /// The events loaded at construction; source of truth for Compact.
   std::vector<Event> history_;
   uint64_t next_seq_ = 0;
   util::Counter* appends_ = nullptr;

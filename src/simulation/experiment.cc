@@ -1,7 +1,9 @@
 #include "simulation/experiment.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 #include "baselines/askit.h"
 #include "baselines/cdas.h"
@@ -32,15 +34,19 @@ double EstimationDeviation(const TaskAssignmentEngine& engine,
                            const std::vector<SimulatedWorker>& pool) {
   const auto& fitted = engine.database().parameters().workers;
   if (fitted.empty()) return 0.0;
+  // Summed in ascending id order, so the mean does not depend on the
+  // fitted map's bucket layout.
+  std::vector<WorkerId> ids;
+  ids.reserve(fitted.size());
+  for (const auto& [id, model] : fitted) ids.push_back(id);
+  std::sort(ids.begin(), ids.end());
   double total = 0.0;
-  int count = 0;
-  for (const auto& [id, model] : fitted) {
+  for (WorkerId id : ids) {
     QASCA_CHECK_GE(id, 0);
     QASCA_CHECK_LT(static_cast<size_t>(id), pool.size());
-    total += model.Deviation(pool[id].latent);
-    ++count;
+    total += fitted.at(id).Deviation(pool[id].latent);
   }
-  return total / count;
+  return total / static_cast<double>(ids.size());
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -42,7 +43,9 @@ class StrategyTest : public ::testing::Test {
       qc.SetRow(static_cast<int>(i),
                 std::vector<double>{probs[i], 1.0 - probs[i]});
     }
-    db_.set_current(qc);
+    EmResult parameters = db_.parameters();
+    parameters.posterior = std::move(qc);
+    db_.SetParameters(std::move(parameters));
   }
 
   std::vector<QuestionIndex> AllCandidates() const {

@@ -1,6 +1,12 @@
 #include "platform/database.h"
 
+#include <algorithm>
+#include <set>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "util/rng.h"
 
 namespace qasca {
 namespace {
@@ -43,6 +49,54 @@ TEST(DatabaseTest, SetParametersRefreshesCurrent) {
   parameters.posterior.SetRow(0, std::vector<double>{0.9, 0.1});
   db.SetParameters(parameters);
   EXPECT_DOUBLE_EQ(db.current().At(0, 0), 0.9);
+}
+
+TEST(DatabaseTest, CandidatesMatchBruteForceUnderRandomAssignAndUnassign) {
+  constexpr int kQuestions = 40;
+  constexpr int kWorkers = 4;
+  Database db(kQuestions, 2);
+  std::vector<std::set<QuestionIndex>> assigned(kWorkers);
+  util::SplitMix64 rng(17);
+  for (int step = 0; step < 2000; ++step) {
+    const auto worker = static_cast<WorkerId>(rng.Next() % kWorkers);
+    std::set<QuestionIndex>& mine = assigned[static_cast<size_t>(worker)];
+    std::vector<QuestionIndex> batch;
+    if (rng.Next() % 3 != 0) {
+      // Assign up to three unassigned questions, in arbitrary order.
+      for (int tries = 0; tries < 3; ++tries) {
+        const auto q = static_cast<QuestionIndex>(rng.Next() % kQuestions);
+        if (!mine.contains(q) &&
+            std::find(batch.begin(), batch.end(), q) == batch.end()) {
+          batch.push_back(q);
+        }
+      }
+      db.MarkAssigned(worker, batch);
+      mine.insert(batch.begin(), batch.end());
+    } else if (!mine.empty()) {
+      // Release a random subset of this worker's questions.
+      for (QuestionIndex q : mine) {
+        if (rng.Next() % 2 == 0) batch.push_back(q);
+      }
+      db.Unassign(worker, batch);
+      for (QuestionIndex q : batch) mine.erase(q);
+    }
+    for (WorkerId w = 0; w < kWorkers; ++w) {
+      std::vector<QuestionIndex> expected;
+      for (QuestionIndex q = 0; q < kQuestions; ++q) {
+        if (!assigned[static_cast<size_t>(w)].contains(q)) {
+          expected.push_back(q);
+        }
+      }
+      ASSERT_EQ(db.CandidatesFor(w), expected)
+          << "worker " << w << " after step " << step;
+    }
+  }
+}
+
+TEST(DatabaseDeathTest, UnassigningAnUnassignedQuestionAborts) {
+  Database db(5, 2);
+  db.MarkAssigned(1, {0, 2});
+  EXPECT_DEATH(db.Unassign(1, {1}), "not assigned to this worker");
 }
 
 TEST(DatabaseDeathTest, DoubleAssignmentAborts) {

@@ -7,14 +7,18 @@
 // branch.
 
 #include <cstdio>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "platform/engine.h"
+#include "platform/journal.h"
 #include "platform/qasca_strategy.h"
+#include "scoped_test_dir.h"
 #include "util/failpoint.h"
 
 namespace qasca {
@@ -250,6 +254,99 @@ TEST(RecoveryDeathTest, RecoverAfterAnExpiredLeaseAborts) {
   ASSERT_EQ(engine->Tick(2), 1);
   ASSERT_EQ(engine->assigned_hits(), 0);
   EXPECT_DEATH((void)engine->Recover(), "Check failed");
+}
+
+// --- journal memory and the provenance seq join ----------------------------
+
+// Seqs of the assignment lines on disk, snapshot first, then log.
+std::vector<uint64_t> AssignSeqsOnDisk(const std::string& prefix) {
+  std::vector<uint64_t> seqs;
+  for (const char* suffix : {".snapshot", ".log"}) {
+    std::ifstream in(prefix + suffix);
+    std::string line;
+    while (std::getline(in, line)) {
+      std::istringstream fields(line);
+      uint64_t seq = 0;
+      std::string kind;
+      if (fields >> seq >> kind && kind == "A") seqs.push_back(seq);
+    }
+  }
+  return seqs;
+}
+
+std::vector<uint64_t> ProvenanceSeqs(const TaskAssignmentEngine& engine) {
+  std::vector<uint64_t> seqs;
+  const ProvenanceLog* log = engine.provenance();
+  for (int i = 0; log != nullptr && i < log->size(); ++i) {
+    seqs.push_back(log->at(i).journal_seq);
+  }
+  return seqs;
+}
+
+TEST(JournalTest, AppendsLeaveOnlyTheLoadedEventsInMemory) {
+  ScopedTestDir dir;
+  const std::string prefix = dir.path() + "/journal";
+  {
+    LifecycleJournal journal(prefix);
+    for (WorkerId worker = 0; worker < 3; ++worker) {
+      ASSERT_TRUE(journal.AppendAssign(worker, {worker, worker + 1}).ok());
+    }
+    EXPECT_TRUE(journal.events().empty());
+    EXPECT_EQ(journal.last_seq(), 2u);
+  }
+  LifecycleJournal loaded(prefix);
+  ASSERT_EQ(loaded.events().size(), 3u);
+  EXPECT_EQ(loaded.events().back().seq, 2u);
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(loaded.AppendComplete(i % 3, {0, 1}).ok());
+    ASSERT_TRUE(loaded.AppendTick(1).ok());
+  }
+  EXPECT_EQ(loaded.events().size(), 3u);
+  EXPECT_EQ(loaded.last_seq(), 82u);
+  loaded.ReleaseLoadedEvents();
+  EXPECT_TRUE(loaded.events().empty());
+
+  // Everything appended reached the files: a third load sees all 83.
+  LifecycleJournal reloaded(prefix);
+  EXPECT_EQ(reloaded.events().size(), 83u);
+}
+
+TEST(JournalTest, RecoveryReproducesStateAndProvenanceJoinsJournalSeqs) {
+  ScopedTestDir dir;
+  const std::string prefix = dir.path() + "/app";
+  AppConfig config = LeaseConfig(prefix);
+  config.budget = 0.02 * 60;
+  config.provenance_enabled = true;
+
+  // A short storm: assignments, varied answers, ticks that expire leases.
+  auto original = MakeEngine(config);
+  for (int round = 0; round < 24; ++round) {
+    const WorkerId worker = round % 5;
+    auto hit = original->RequestHit(worker);
+    if (!hit.ok()) continue;
+    if (round % 4 == 3) {
+      original->Tick(2);  // this HIT's lease expires
+      continue;
+    }
+    std::vector<LabelIndex> labels;
+    for (size_t i = 0; i < hit->size(); ++i) {
+      labels.push_back(static_cast<LabelIndex>((round + i) % 2));
+    }
+    ASSERT_TRUE(original->CompleteHit(worker, labels).ok());
+  }
+  ASSERT_GT(original->leases_expired(), 0);
+  EXPECT_EQ(ProvenanceSeqs(*original), AssignSeqsOnDisk(prefix));
+  const uint64_t fingerprint = original->StateFingerprint();
+  original.reset();
+
+  auto recovered = MakeEngine(config);
+  ASSERT_TRUE(recovered->Recover().ok());
+  EXPECT_EQ(recovered->StateFingerprint(), fingerprint);
+  // Live appends after recovery continue the seq the replay ended on.
+  for (WorkerId worker = 7; worker < 10; ++worker) {
+    ASSERT_TRUE(recovered->RequestHit(worker).ok());
+  }
+  EXPECT_EQ(ProvenanceSeqs(*recovered), AssignSeqsOnDisk(prefix));
 }
 
 #if QASCA_ENABLE_FAILPOINTS

@@ -14,7 +14,7 @@ leaks into src/core, src/model and src/platform:
     whose range names an unordered_map/unordered_set (declared in the same
     file or its companion header) folds values in bucket order, which
     depends on hash seeding and insertion history. Iterate a sorted view
-    instead (see GroupByWorker in src/model/em.cc), or suppress with
+    instead (see BuildLayout in src/model/em.cc), or suppress with
     `// analyze:allow(determinism)` plus a justification when order
     provably cannot reach a decision or a float accumulation.
 """

@@ -64,8 +64,10 @@
 #  12. observability smoke (ISSUE 8): qasca_sim --trace-out /
 #      --provenance-out on the release build, then structural validation of
 #      the Chrome trace JSON (sorted ts, balanced B/E per tid, nested
-#      stages) and the provenance JSONL, and a bench_diff run over the two
-#      newest checked-in BENCH_*.json baselines
+#      stages) and the provenance JSONL; then the benchmark of record
+#      (perfbench/run.py) on both gated workloads for 5 s each plus one
+#      traced serve_4app run, each of which must report "correct": true
+#      (decision hashes, fingerprints and scripted counts)
 #  13. telemetry-overhead smoke: disabled-telemetry instrumentation on a
 #      hot loop must cost < 2%; also drives the enabled+flight-recorder
 #      path (informational cost, recorder must capture events)
@@ -260,7 +262,7 @@ run ctest --test-dir build-release -j"$(nproc)" --repeat until-fail:3 \
   -L 'serving|faults'
 stage_pass
 
-stage_begin "observability smoke (trace export, provenance JSONL, bench diff)"
+stage_begin "observability smoke (trace export, provenance JSONL, perfbench correctness)"
 # Exercises the flight-recorder stack end to end on the release build: one
 # instrumented sim run exports both artifacts, then the validation below
 # re-checks the structural contract the unit tests pin (valid JSON, globally
@@ -309,19 +311,27 @@ for r in records:
 print(f"observability smoke: {len(events)} trace events across "
       f"{len(names)} stages, {len(records)} provenance records")
 EOF
-# Perf-regression gate over the two newest *checked-in* bench baselines
-# (git ls-files, not a filesystem glob: a stray locally generated
-# BENCH_*.json must not change which pair the gate compares, or the check
-# stops being idempotent across machines). The loose threshold absorbs
-# machine-to-machine noise in the snapshots; the point is catching
-# order-of-magnitude slides between recorded PRs.
-BENCH_BASELINES=($(git ls-files 'BENCH_*.json' | sort -V | tail -2))
-if [[ "${#BENCH_BASELINES[@]}" -eq 2 ]]; then
-  run python3 tools/bench_diff.py \
-    "${BENCH_BASELINES[0]}" "${BENCH_BASELINES[1]}" --threshold 0.5
-else
-  echo "fewer than two BENCH_*.json baselines; skipping bench diff"
-fi
+# The benchmark of record (BENCHMARK.json) checks every decision hash,
+# state fingerprint and scripted count of its run and reports the verdict
+# as "correct" in the JSON result on its last stdout line. Short runs of
+# both gated workloads, plus one traced run (the per-layer replay ladder,
+# whose every rung must reproduce the decision hash), must all say true.
+perfbench_correct() {
+  local out
+  out="$(python3 perfbench/run.py --workload "$1" --seconds 5 --trace "$2")" ||
+    return 1
+  printf '%s\n' "${out}" | python3 -c '
+import json, sys
+lines = [line for line in sys.stdin.read().splitlines() if line.strip()]
+result = json.loads(lines[-1]) if lines else {}
+correct = result.get("correct")
+print(f"perfbench {sys.argv[1]} --trace {sys.argv[2]}: correct={correct}")
+sys.exit(0 if correct is True else 1)
+' "$1" "$2"
+}
+run perfbench_correct er_fscore 0
+run perfbench_correct serve_4app 0
+run perfbench_correct serve_4app 1
 stage_pass
 
 stage_begin "telemetry-overhead smoke (disabled instruments < 2%)"
