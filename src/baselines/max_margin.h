@@ -20,6 +20,7 @@ namespace qasca {
 class MaxMarginStrategy final : public AssignmentStrategy {
  public:
   std::string name() const override { return "MaxMargin"; }
+  bool ReadsTypicalWorker() const override { return true; }
 
   std::vector<QuestionIndex> SelectQuestions(
       const StrategyContext& context,

@@ -36,10 +36,10 @@ struct AssignmentRequest {
   /// The candidate set S^w: distinct question indices, any order.
   std::vector<QuestionIndex> candidates;
   int k = 0;
-  /// Optional worker pool for the per-candidate scans (benefit computation,
-  /// Dinkelbach numerator/denominator accumulation). nullptr runs serial;
-  /// any pool size produces bit-identical selections (fixed-grain chunking,
-  /// chunk-ordered reductions — see util/thread_pool.h).
+  /// Optional worker pool for the Top-K benefit scan; AssignFScoreOnline
+  /// runs serially and ignores it. nullptr runs serial; any pool size
+  /// produces bit-identical selections (fixed-grain chunking, chunk-ordered
+  /// reductions — see util/thread_pool.h).
   util::ThreadPool* pool = nullptr;
   /// Optional telemetry registry (stage spans, candidate/iteration
   /// counters); nullptr or disabled records nothing and never influences

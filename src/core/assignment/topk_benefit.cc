@@ -7,6 +7,7 @@
 
 #include "core/assignment/qw_overlay.h"
 #include "core/kernels/kernels.h"
+#include "core/top_k.h"
 #include "util/fold.h"
 #include "util/invariants.h"
 #include "util/logging.h"
@@ -22,14 +23,6 @@ namespace {
 // of the objective) is identical for every thread count.
 constexpr int kBenefitScanGrain = 512;
 
-// The selection's strict total order: larger benefit first, ties broken by
-// question index for determinism. Strict and total because no two
-// candidates share a question index.
-inline bool BenefitGreater(const std::pair<double, QuestionIndex>& a,
-                           const std::pair<double, QuestionIndex>& b) {
-  return a.first > b.first || (a.first == b.first && a.second < b.second);
-}
-
 // The Top-K Benefit scan (Section 4.1, generalised to any decomposable row
 // quality), templated on the two quality reads so concrete instantiations —
 // the Accuracy* row max below, the generic RowQualityFn wrapper — inline
@@ -37,13 +30,13 @@ inline bool BenefitGreater(const std::pair<double, QuestionIndex>& a,
 // row. `est_quality(i)` / `cur_quality(i)` are the qualities of question
 // i's estimated and current rows.
 //
-// Selection is a streaming top-k: each chunk keeps its own k best
-// candidates under BenefitGreater, and the serial chunk-ordered merge picks
-// the global top-k from their union. Because the union always contains the
-// global top-k and the order is strict and total, the selected *set* is
-// exactly what nth_element over a full benefit vector would produce, for
-// every thread count — without materialising (or re-scanning) an n-entry
-// benefit vector per request.
+// Selection is a streaming top-k (BoundedTopK, core/top_k.h): each chunk
+// keeps its own k best candidates under ScoreGreater, and the serial
+// chunk-ordered merge picks the global top-k from their union. Because the
+// union always contains the global top-k and the order is strict and total,
+// the selected *set* is exactly what nth_element over a full benefit vector
+// would produce, for every thread count — without materialising (or
+// re-scanning) an n-entry benefit vector per request.
 template <typename EstQuality, typename CurQuality>
 AssignmentResult ScanTopKBenefit(const AssignmentRequest& request,
                                  const EstQuality& est_quality,
@@ -58,56 +51,40 @@ AssignmentResult ScanTopKBenefit(const AssignmentRequest& request,
   }
   const int k = request.k;
   const int num_chunks = util::NumChunks(0, num_candidates, kBenefitScanGrain);
-  std::vector<std::pair<double, QuestionIndex>> local(
-      static_cast<size_t>(num_chunks) * k);
+  std::vector<ScoredQuestion> local(static_cast<size_t>(num_chunks) * k);
   std::vector<int> local_counts(static_cast<size_t>(num_chunks), 0);
   util::ParallelFor(
       request.pool, 0, num_candidates, kBenefitScanGrain, [&](int cb, int ce) {
         const int chunk = util::ChunkIndex(0, cb, kBenefitScanGrain);
-        auto* top = local.data() + static_cast<size_t>(chunk) * k;
-        int count = 0;
+        BoundedTopK selector(local.data() + static_cast<size_t>(chunk) * k,
+                             k);
         for (int c = cb; c < ce; ++c) {
           const QuestionIndex i = request.candidates[static_cast<size_t>(c)];
-          const std::pair<double, QuestionIndex> candidate{
-              est_quality(i) - cur_quality(i), i};
-          // One predictable comparison per candidate once the chunk's
-          // buffer is full; the bounded insertion below is rare.
-          if (count == k && !BenefitGreater(candidate, top[count - 1])) {
-            continue;
-          }
-          int pos = count < k ? count : k - 1;
-          while (pos > 0 && BenefitGreater(candidate, top[pos - 1])) {
-            top[pos] = top[pos - 1];
-            --pos;
-          }
-          top[pos] = candidate;
-          if (count < k) ++count;
+          selector.Offer({est_quality(i) - cur_quality(i), i});
         }
-        local_counts[static_cast<size_t>(chunk)] = count;
+        local_counts[static_cast<size_t>(chunk)] = selector.count();
       });
 
   // Serial merge in chunk order; after the sort, benefits[0..k) is the
-  // global top-k in BenefitGreater order.
-  std::vector<std::pair<double, QuestionIndex>> benefits;
+  // global top-k in ScoreGreater order.
+  std::vector<ScoredQuestion> benefits;
   benefits.reserve(static_cast<size_t>(num_chunks) * k);
   for (int chunk = 0; chunk < num_chunks; ++chunk) {
     const auto* top = local.data() + static_cast<size_t>(chunk) * k;
     benefits.insert(benefits.end(), top,
                     top + local_counts[static_cast<size_t>(chunk)]);
   }
-  std::sort(benefits.begin(), benefits.end(), BenefitGreater);
+  std::sort(benefits.begin(), benefits.end(), ScoreGreater);
 
   AssignmentResult result;
   result.outer_iterations = 1;
   // The selection and its scores, reordered ascending by question index.
-  // `benefits` itself stays in BenefitGreater order: the objective fold
+  // `benefits` itself stays in ScoreGreater order: the objective fold
   // below sums benefits[0..k) in that order, and reordering it would change
   // the floating-point association (the golden traces pin the exact bits).
-  std::vector<std::pair<double, QuestionIndex>> topk(
-      benefits.begin(), benefits.begin() + k);
+  std::vector<ScoredQuestion> topk(benefits.begin(), benefits.begin() + k);
   std::sort(topk.begin(), topk.end(),
-            [](const std::pair<double, QuestionIndex>& a,
-               const std::pair<double, QuestionIndex>& b) {
+            [](const ScoredQuestion& a, const ScoredQuestion& b) {
               return a.second < b.second;
             });
   result.selected.reserve(static_cast<size_t>(k));

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "core/top_k.h"
 #include "util/fold.h"
 #include "util/invariants.h"
 #include "util/logging.h"
@@ -21,23 +22,29 @@ constexpr double kLambdaTolerance = 1e-12;
 // indicates a malformed problem (e.g. non-positive denominators).
 constexpr int kMaxIterations = 1000;
 
-double Objective(const ZeroOneFractionalProgram& p,
-                 const std::vector<unsigned char>& z) {
-  // Carries the numerator/denominator pair through one left-to-right
-  // sweep; the conditional add stays inside the step so the exact op
-  // sequence (and any -0.0 bits) matches the historical raw loop.
+// f(z) for the z whose ones are `selected[0, count)`, folded in the order
+// listed. Listed ascending, that is exactly the adds of a sweep over all n
+// coordinates that skips the zeros (DESIGN.md §12, "Streaming Dinkelbach").
+double Objective(const ZeroOneFractionalProgram& p, const int* selected,
+                 int count) {
   const auto [numerator, denominator] = util::DeterministicFold(
-      std::pair<double, double>(p.beta, p.gamma), 0,
-      static_cast<int>(z.size()),
-      [&](std::pair<double, double> acc, int i) {
-        if (z[static_cast<size_t>(i)]) {
-          acc.first += p.b[static_cast<size_t>(i)];
-          acc.second += p.d[static_cast<size_t>(i)];
-        }
+      std::pair<double, double>(p.beta, p.gamma), 0, count,
+      [&](std::pair<double, double> acc, int s) {
+        const size_t i = static_cast<size_t>(selected[s]);
+        acc.first += p.b[i];
+        acc.second += p.d[i];
         return acc;
       });
   QASCA_CHECK_OK(invariants::CheckFractionalDenominator(denominator));
   return numerator / denominator;
+}
+
+// The returned maximiser: z[i] = 1 exactly for the listed coordinates.
+std::vector<unsigned char> Indicator(size_t n, const int* selected,
+                                     int count) {
+  std::vector<unsigned char> z(n, 0);
+  for (int s = 0; s < count; ++s) z[static_cast<size_t>(selected[s])] = 1;
+  return z;
 }
 
 }  // namespace
@@ -47,17 +54,21 @@ FractionalSolution SolveUnconstrained(const ZeroOneFractionalProgram& problem,
   const size_t n = problem.b.size();
   QASCA_CHECK_EQ(problem.d.size(), n);
 
+  // The coordinates set to 1 by the current step, ascending.
+  std::vector<int> selected(n);
   FractionalSolution solution;
-  solution.z.assign(n, 0);
   double lambda = lambda_init;
   for (int iteration = 1; iteration <= kMaxIterations; ++iteration) {
     // argmax_z g(z, lambda): independent per-coordinate choice. The >= (as
     // opposed to >) matches the paper's threshold rule "r_i = 1 if
-    // Q_{i,1} >= lambda * alpha".
+    // Q_{i,1} >= lambda * alpha". Branch-free compaction: every index is
+    // written, and kept only if chosen.
+    int count = 0;
     for (size_t i = 0; i < n; ++i) {
-      solution.z[i] = problem.b[i] - lambda * problem.d[i] >= 0.0 ? 1 : 0;
+      selected[static_cast<size_t>(count)] = static_cast<int>(i);
+      count += problem.b[i] - lambda * problem.d[i] >= 0.0 ? 1 : 0;
     }
-    double updated = Objective(problem, solution.z);
+    double updated = Objective(problem, selected.data(), count);
     // Dinkelbach monotonicity: from a valid lower bound, every iterate's
     // lambda is non-decreasing. A violation means the caller's lambda_init
     // contract was broken or the program is malformed.
@@ -65,6 +76,7 @@ FractionalSolution SolveUnconstrained(const ZeroOneFractionalProgram& problem,
     solution.iterations = iteration;
     if (std::fabs(updated - lambda) <= kLambdaTolerance) {
       solution.value = updated;
+      solution.z = Indicator(n, selected.data(), count);
       return solution;
     }
     lambda = updated;
@@ -90,32 +102,35 @@ FractionalSolution SolveExactlyK(const ZeroOneFractionalProgram& problem,
   QASCA_DCHECK_OK(
       invariants::CheckCandidateSet(candidates, static_cast<int>(n)));
 
-  // Scratch holding (score, candidate) pairs for the selection step.
-  std::vector<std::pair<double, int>> scored(candidates.size());
+  // The step's k best (score, question) pairs, then their questions
+  // ascending for the objective fold.
+  std::vector<ScoredQuestion> top(static_cast<size_t>(k));
+  std::vector<int> selected(static_cast<size_t>(k));
 
   FractionalSolution solution;
-  solution.z.assign(n, 0);
   double lambda = lambda_init;
   for (int iteration = 1; iteration <= kMaxIterations; ++iteration) {
-    for (size_t c = 0; c < candidates.size(); ++c) {
-      int i = candidates[c];
-      scored[c] = {problem.b[i] - lambda * problem.d[i], i};
+    // Top-k selection in one pass over the candidates (the role of the PICK
+    // algorithm [2] in the paper's complexity analysis). ScoreGreater is a
+    // strict total order, so the set is the one any exact selection over
+    // the same scores returns.
+    BoundedTopK selector(top.data(), k);
+    for (int i : candidates) {
+      selector.Offer({problem.b[static_cast<size_t>(i)] -
+                          lambda * problem.d[static_cast<size_t>(i)],
+                      i});
     }
-    // Linear-time top-k selection (the role of the PICK algorithm [2] in
-    // the paper's complexity analysis).
-    std::nth_element(scored.begin(), scored.begin() + (k - 1), scored.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.first > b.first ||
-                              (a.first == b.first && a.second < b.second);
-                     });
-    std::fill(solution.z.begin(), solution.z.end(), 0);
-    for (int c = 0; c < k; ++c) solution.z[scored[c].second] = 1;
+    for (int s = 0; s < k; ++s) {
+      selected[static_cast<size_t>(s)] = top[static_cast<size_t>(s)].second;
+    }
+    std::sort(selected.begin(), selected.end());
 
-    double updated = Objective(problem, solution.z);
+    double updated = Objective(problem, selected.data(), k);
     QASCA_DCHECK_OK(invariants::CheckLambdaMonotone(lambda, updated));
     solution.iterations = iteration;
     if (std::fabs(updated - lambda) <= kLambdaTolerance) {
       solution.value = updated;
+      solution.z = Indicator(n, selected.data(), k);
       return solution;
     }
     lambda = updated;

@@ -49,8 +49,10 @@ FractionalSolution SolveUnconstrained(const ZeroOneFractionalProgram& problem,
 
 /// Solves `problem` over Omega = { z : sum z_i = k, z_i = 1 only for
 /// i in `candidates` }. Each Dinkelbach step selects the k candidates with
-/// the largest b[i] - lambda*d[i] via linear-time selection (the paper's
-/// PICK step in Algorithm 3).
+/// the largest b[i] - lambda*d[i] (ties to the smaller index) in one
+/// streaming pass over the candidates (the paper's PICK step in
+/// Algorithm 3), then folds f(z) over the k selected indices only.
+/// Coordinates outside `candidates` are never read.
 ///
 /// `k` must satisfy 0 < k <= candidates.size(); candidate indices must be
 /// unique and within [0, n).

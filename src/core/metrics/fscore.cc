@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "core/fractional.h"
@@ -100,29 +101,21 @@ double FScoreStar(const DistributionMatrix& q, const ResultVector& result,
   return tally.numerator / tally.denominator;
 }
 
-FScoreQualityResult SolveFScoreQuality(const DistributionMatrix& q,
-                                       double alpha,
-                                       LabelIndex target_label) {
-  QASCA_CHECK_LT(target_label, q.num_labels());
+FractionalSolution SolveFScoreColumn(std::vector<double> column,
+                                     double alpha) {
   QASCA_CHECK_GE(alpha, 0.0);
   QASCA_CHECK_LE(alpha, 1.0);
-  QASCA_DCHECK_OK(invariants::CheckDistributionMatrix(q));
-  const int n = q.num_questions();
+  const int n = static_cast<int>(column.size());
 
   // Reduction of Eq. 10: b_i = Q_{i,1}, d_i = alpha, beta = 0,
   // gamma = (1 - alpha) * sum_i Q_{i,1}.
   ZeroOneFractionalProgram problem;
-  problem.b.resize(n);
-  problem.d.assign(n, alpha);
-  for (int i = 0; i < n; ++i) {
-    problem.b[i] = q.At(i, target_label);
-  }
+  problem.b = std::move(column);
+  problem.d.assign(static_cast<size_t>(n), alpha);
   const double target_mass = util::DeterministicSum(
       0, n, [&](int i) { return problem.b[static_cast<size_t>(i)]; });
   problem.gamma = (1.0 - alpha) * target_mass;
 
-  FScoreQualityResult result;
-  result.optimal_result.assign(n, target_label == 0 ? 1 : 0);
   // Degenerate corner: with zero total target mass every result scores 0
   // and (at alpha = 1, where gamma = 0 regardless) the empty selection
   // would make the fractional program's denominator vanish. Return the
@@ -130,16 +123,33 @@ FScoreQualityResult SolveFScoreQuality(const DistributionMatrix& q,
   // otherwise fine: the Dinkelbach iterate always keeps the top question
   // selected, so the denominator alpha * |selected| stays positive.
   if (target_mass <= 0.0) {
-    result.lambda = 0.0;
-    return result;
+    FractionalSolution none;
+    none.z.assign(static_cast<size_t>(n), 0);
+    return none;
   }
+  return SolveUnconstrained(problem, /*lambda_init=*/0);
+}
 
-  FractionalSolution solution = SolveUnconstrained(problem, /*lambda_init=*/0);
+FScoreQualityResult SolveFScoreQuality(const DistributionMatrix& q,
+                                       double alpha,
+                                       LabelIndex target_label) {
+  QASCA_CHECK_LT(target_label, q.num_labels());
+  QASCA_DCHECK_OK(invariants::CheckDistributionMatrix(q));
+  const int n = q.num_questions();
+  std::vector<double> column(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    column[static_cast<size_t>(i)] = q.At(i, target_label);
+  }
+  const FractionalSolution solution =
+      SolveFScoreColumn(std::move(column), alpha);
+
+  FScoreQualityResult result;
   result.lambda = solution.value;
   result.iterations = solution.iterations;
   // The final z was selected with the converged lambda*, so it realises the
   // Theorem 2 threshold rule r_i = target iff Q_{i,1} >= lambda* * alpha.
   LabelIndex non_target = target_label == 0 ? 1 : 0;
+  result.optimal_result.resize(n);
   for (int i = 0; i < n; ++i) {
     result.optimal_result[i] = solution.z[i] ? target_label : non_target;
   }
@@ -165,6 +175,8 @@ double ExactExpectedFScore(const DistributionMatrix& q,
   // so E[F] = sum_{a,b} P(A=a) P(B=b) * a / (alpha*m + (1-alpha)*(a+b)).
   std::vector<double> returned_probabilities;
   std::vector<double> other_probabilities;
+  returned_probabilities.reserve(static_cast<size_t>(q.num_questions()));
+  other_probabilities.reserve(static_cast<size_t>(q.num_questions()));
   for (int i = 0; i < q.num_questions(); ++i) {
     double p = q.At(i, target_label);
     if (result[i] == target_label) {

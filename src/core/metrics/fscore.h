@@ -2,7 +2,9 @@
 #define QASCA_CORE_METRICS_FSCORE_H_
 
 #include <string>
+#include <vector>
 
+#include "core/fractional.h"
 #include "core/metrics/metric.h"
 
 namespace qasca {
@@ -85,6 +87,15 @@ double FScoreStar(const DistributionMatrix& q, const ResultVector& result,
 FScoreQualityResult SolveFScoreQuality(const DistributionMatrix& q,
                                        double alpha,
                                        LabelIndex target_label = 0);
+
+/// Algorithm 1 on a target-label column already gathered from Q
+/// (column[i] = Q_{i,target}), alpha in [0, 1]: the Eq. 10 reduction solved
+/// by SolveUnconstrained. `value` is lambda*, and z[i] = 1 iff question i is
+/// returned as the target; with zero target mass, lambda* = 0, no iteration
+/// runs and no question is returned as the target. SolveFScoreQuality is
+/// this on q's column; the F-score online assignment passes the column it
+/// gathers once per request for its warm start.
+FractionalSolution SolveFScoreColumn(std::vector<double> column, double alpha);
 
 /// Exact expected F-score E[F-score(T, R, alpha)] under Q (Eq. 8), computed
 /// by conditioning on the number of true targets inside and outside the

@@ -14,7 +14,6 @@
 #include "util/invariants.h"
 #include "util/logging.h"
 #include "util/telemetry_names.h"
-#include "util/thread_pool.h"
 
 namespace qasca {
 
@@ -24,26 +23,6 @@ const WorkerModel& EmResult::WorkerFor(WorkerId worker) const {
 }
 
 namespace {
-
-// Questions are partitioned into chunks of this many rows for the parallel
-// E-step. The grain is a fixed constant — never derived from the pool size —
-// so the chunk decomposition (and the chunk-ordered fold of the reductions
-// below) is identical for every thread count, making parallel results
-// bit-identical to the serial path.
-constexpr int kEStepGrain = 128;
-
-// Per-chunk E-step reduction state, merged in chunk-index order after the
-// parallel sweep.
-struct EStepPartial {
-  // Max absolute posterior-cell change in this chunk (convergence test).
-  double max_change = 0.0;
-  // Sum of log marginal likelihoods (the observed-data log-likelihood
-  // contribution); only accumulated when DCHECKs are on.
-  double log_marginal = 0.0;
-  // False if any marginal in the chunk was non-positive (degenerate 0/1
-  // models with contradictory answers), which voids the ascent guarantee.
-  bool marginals_positive = true;
-};
 
 // The answer set D laid out flat for one refit (DESIGN.md §8). Workers get
 // dense slots in ascending id order, so every fold over workers runs in the
@@ -141,8 +120,7 @@ bool AccumulateLogPenalty(bool wp, std::span<const double> params,
 // layout), refilled after every M-step.
 class Refit {
  public:
-  Refit(const AnswerSet& answers, int num_labels, const EmOptions& options,
-        util::ThreadPool* pool)
+  Refit(const AnswerSet& answers, int num_labels, const EmOptions& options)
       : answers_(answers),
         layout_(BuildLayout(answers, num_labels)),
         n_(static_cast<int>(answers.size())),
@@ -150,10 +128,8 @@ class Refit {
         cells_(static_cast<size_t>(num_labels) * num_labels),
         options_(options),
         wp_(options.worker_kind == WorkerModel::Kind::kWorkerProbability),
-        pool_(pool),
         posterior_(static_cast<size_t>(n_) * num_labels),
-        partials_(static_cast<size_t>(util::NumChunks(0, n_, kEStepGrain))),
-        chunk_rows_(partials_.size() * num_labels),
+        row_(static_cast<size_t>(num_labels)),
         tables_(layout_.workers.size() * cells_),
         params_(layout_.workers.size() * (wp_ ? 1 : cells_)) {
     if (wp_) {
@@ -232,21 +208,20 @@ class Refit {
       }
 #endif
 
-      EStep(result->prior);
-      double max_change = 0.0;
-      for (const EStepPartial& part : partials_) {
-        max_change = std::max(max_change, part.max_change);
-      }
+      const double max_change = EStep(result->prior);
 
 #if QASCA_ENABLE_DCHECKS
+      // Data log-likelihood: the rows' log marginals in question order. A
+      // non-positive marginal (contradictory answers under degenerate 0/1
+      // models) means the fallback row is not a true posterior, so the
+      // ascent guarantee lapses.
       objective = util::DeterministicFold(
-          objective, 0, static_cast<int>(partials_.size()),
-          [&](double acc, int p) {
-            return acc + partials_[static_cast<size_t>(p)].log_marginal;
+          objective, 0, n_, [&](double acc, int i) {
+            const double marginal = marginals_[static_cast<size_t>(i)];
+            if (marginal > 0.0) return acc + std::log(marginal);
+            objective_valid = false;
+            return acc;
           });
-      for (const EStepPartial& part : partials_) {
-        objective_valid = objective_valid && part.marginals_positive;
-      }
       if (have_previous_objective && objective_valid) {
         QASCA_DCHECK_OK(invariants::CheckLogLikelihoodMonotone(
             previous_objective, objective,
@@ -352,51 +327,40 @@ class Refit {
   }
 
   // E-step: every posterior row from the prior and the slot tables
-  // (Eq. 16). Rows are independent, so the sweep runs chunk-parallel; each
-  // chunk writes its own rows and reduction slot, which Run() folds in
-  // chunk order.
-  void EStep(const std::vector<double>& prior) {
+  // (Eq. 16), in one pass over the rows. Returns the largest cell change
+  // (the convergence test); with DCHECKs on, also keeps each row's
+  // marginal likelihood for the objective check.
+  double EStep(const std::vector<double>& prior) {
     const bool plain = l_ <= kPlainRowMaxLabels;
-    partials_.assign(partials_.size(), EStepPartial{});
-    util::ParallelFor(pool_, 0, n_, kEStepGrain, [&](int cb, int ce) {
-      const size_t chunk =
-          static_cast<size_t>(util::ChunkIndex(0, cb, kEStepGrain));
-      EStepPartial& part = partials_[chunk];
-      double* row = chunk_rows_.data() + chunk * l_;
-      for (int i = cb; i < ce; ++i) {
-        std::copy(prior.begin(), prior.end(), row);
-        const int* slot = Slots(i);
-        for (const Answer& answer : answers_[static_cast<size_t>(i)]) {
-          const double* likelihood = Table(static_cast<size_t>(*slot++)) +
-                                     static_cast<size_t>(answer.label) * l_;
-          if (plain) {
-            for (int j = 0; j < l_; ++j) row[j] *= likelihood[j];
-          } else {
-            kernels::MulRowInPlace(row, likelihood, l_);
-          }
-        }
-        const double marginal = NormalizePosteriorRow(row, l_);
-        QASCA_DCHECK_OK(invariants::CheckDistributionRow(
-            std::span<const double>(row, static_cast<size_t>(l_))));
-        double* cell = Row(i);
-        for (int j = 0; j < l_; ++j) {
-          part.max_change =
-              std::max(part.max_change, std::fabs(row[j] - cell[j]));
-          cell[j] = row[j];
-        }
-#if QASCA_ENABLE_DCHECKS
-        if (marginal > 0.0) {
-          part.log_marginal += std::log(marginal);
+    double* row = row_.data();
+    double max_change = 0.0;
+    for (int i = 0; i < n_; ++i) {
+      std::copy(prior.begin(), prior.end(), row);
+      const int* slot = Slots(i);
+      for (const Answer& answer : answers_[static_cast<size_t>(i)]) {
+        const double* likelihood = Table(static_cast<size_t>(*slot++)) +
+                                   static_cast<size_t>(answer.label) * l_;
+        if (plain) {
+          for (int j = 0; j < l_; ++j) row[j] *= likelihood[j];
         } else {
-          // Contradictory answers under degenerate 0/1 models: the fallback
-          // row is not a true posterior, so the ascent guarantee lapses.
-          part.marginals_positive = false;
+          kernels::MulRowInPlace(row, likelihood, l_);
         }
-#else
-        (void)marginal;
-#endif
       }
-    });
+      const double marginal = NormalizePosteriorRow(row, l_);
+      QASCA_DCHECK_OK(invariants::CheckDistributionRow(
+          std::span<const double>(row, static_cast<size_t>(l_))));
+      double* cell = Row(i);
+      for (int j = 0; j < l_; ++j) {
+        max_change = std::max(max_change, std::fabs(row[j] - cell[j]));
+        cell[j] = row[j];
+      }
+#if QASCA_ENABLE_DCHECKS
+      marginals_[static_cast<size_t>(i)] = marginal;
+#else
+      (void)marginal;
+#endif
+    }
+    return max_change;
   }
 
   const AnswerSet& answers_;
@@ -406,11 +370,14 @@ class Refit {
   const size_t cells_;
   const EmOptions& options_;
   const bool wp_;
-  util::ThreadPool* const pool_;
   std::vector<double> posterior_;
-  std::vector<EStepPartial> partials_;
-  // One l-sized scratch row per E-step chunk.
-  std::vector<double> chunk_rows_;
+  // The E-step's scratch row.
+  std::vector<double> row_;
+#if QASCA_ENABLE_DCHECKS
+  // Each row's marginal likelihood from the last E-step.
+  std::vector<double> marginals_ =
+      std::vector<double>(static_cast<size_t>(n_));
+#endif
   std::vector<double> tables_;
   std::vector<double> params_;
   // Per slot, the WP M-step's smoothed answer count.
@@ -426,13 +393,13 @@ WorkerModel PerfectModel(const EmOptions& options, int num_labels) {
 }  // namespace
 
 EmResult RunEm(const AnswerSet& answers, int num_labels,
-               const EmOptions& options, util::ThreadPool* pool,
+               const EmOptions& options, util::ThreadPool* /*pool*/,
                util::MetricRegistry* telemetry) {
   QASCA_CHECK_GT(num_labels, 0);
   EmResult result;
   result.prior = UniformPrior(num_labels);
   result.fallback = PerfectModel(options, num_labels);
-  Refit refit(answers, num_labels, options, pool);
+  Refit refit(answers, num_labels, options);
   refit.SeedFromVotes();
   refit.Run(&result, telemetry);
   return result;
@@ -440,7 +407,7 @@ EmResult RunEm(const AnswerSet& answers, int num_labels,
 
 EmResult RunEmWarmStart(const AnswerSet& answers, int num_labels,
                         const EmOptions& options, const EmResult& previous,
-                        util::ThreadPool* pool,
+                        util::ThreadPool* /*pool*/,
                         util::MetricRegistry* telemetry) {
   QASCA_CHECK_GT(num_labels, 0);
   const int n = static_cast<int>(answers.size());
@@ -451,7 +418,7 @@ EmResult RunEmWarmStart(const AnswerSet& answers, int num_labels,
     // The second case matters: an all-uniform posterior is a *fixed point*
     // of the EM update (the symmetric saddle), so warm-starting from a
     // blank state would never leave it — bootstrap from votes instead.
-    return RunEm(answers, num_labels, options, pool, telemetry);
+    return RunEm(answers, num_labels, options, nullptr, telemetry);
   }
   EmResult result;
   result.prior = previous.prior.size() == static_cast<size_t>(num_labels)
@@ -463,7 +430,7 @@ EmResult RunEmWarmStart(const AnswerSet& answers, int num_labels,
   // posterior to the data, so stale per-question beliefs cannot persist and
   // the label-flip degeneracies a posterior-seeded restart can drift into
   // are avoided.
-  Refit refit(answers, num_labels, options, pool);
+  Refit refit(answers, num_labels, options);
   refit.SeedFromModels(previous, result.prior);
   refit.Run(&result, telemetry);
   return result;

@@ -52,11 +52,9 @@ struct EmResult {
 /// models and prior from the posteriors. Initialisation uses smoothed
 /// per-question vote counts, the standard Dawid–Skene bootstrap.
 ///
-/// `pool` (optional) parallelises the E-step: per-question posterior rows
-/// are independent, so questions are partitioned into fixed-grain chunks and
-/// the per-chunk reductions (convergence delta, log-likelihood) fold in
-/// chunk-index order — results are bit-identical for every thread count,
-/// including the serial pool == nullptr path.
+/// `pool` is unused: refits run serially, because at every measured size a
+/// thread pool made them slower (DESIGN.md §8). The parameter stays for
+/// source compatibility; results do not depend on it.
 ///
 /// `telemetry` (optional) records the E/M rounds this fit took
 /// (tnames::kEmIterations); it never affects the fit.

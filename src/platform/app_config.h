@@ -45,9 +45,10 @@ struct AppConfig {
   /// local optimum that the cold vote bootstrap would wash out, noticeably
   /// hurting end quality. Enable only when seeding from a mature fit.
   bool warm_start_em = false;
-  /// Worker threads for the hot kernels (EM E-step, Qw estimation, benefit
-  /// scans). 1 = exact serial execution with no pool at all. Any value
-  /// produces byte-identical assignment decisions (fixed-grain chunking and
+  /// Worker threads for the hot kernels (Qw estimation, benefit scans; EM
+  /// refits and the F-score assignment always run serially). 1 = exact
+  /// serial execution with no pool at all. Any value produces
+  /// byte-identical assignment decisions (fixed-grain chunking and
   /// counter-based per-question RNG streams; see DESIGN.md "Threading and
   /// incrementality").
   int num_threads = 1;

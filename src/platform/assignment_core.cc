@@ -53,7 +53,9 @@ util::StatusOr<AssignmentCore::Decision> AssignmentCore::Decide(
   context.worker = worker;
   const WorkerModel& model = ModelFor(worker);
   context.worker_model = &model;
-  context.typical_worker = &TypicalWorker();
+  if (strategy_->ReadsTypicalWorker()) {
+    context.typical_worker = &TypicalWorker();
+  }
   context.rng = &rng_;
   context.pool = pool_.get();
   context.telemetry = &telemetry_;
@@ -164,7 +166,9 @@ void AssignmentCore::ApplyCompletion(
 
 void AssignmentCore::ForceFullEmRefit() { RunFullEmRefit(); }
 
-void AssignmentCore::WarmSharedState() { (void)TypicalWorker(); }
+void AssignmentCore::WarmSharedState() {
+  if (strategy_->ReadsTypicalWorker()) (void)TypicalWorker();
+}
 
 void AssignmentCore::RunFullEmRefit() {
   util::Span span(&telemetry_, util::tnames::kSpanEmFullRefit);

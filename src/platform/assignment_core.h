@@ -93,10 +93,12 @@ class AssignmentCore {
   /// checked first, as at any scheduled refit).
   void ForceFullEmRefit();
 
-  /// Pre-materialises the per-decision shared state (the cached typical
-  /// worker) so a batch of Decide calls amortises the O(workers * labels^2)
-  /// aggregation instead of paying it on the batch's first request. Safe to
-  /// call at any time; decisions are byte-identical with or without it.
+  /// Pre-materialises the per-decision shared state the strategy reads
+  /// (the cached typical worker, for strategies whose ReadsTypicalWorker()
+  /// is true) so a batch of Decide calls amortises the O(workers *
+  /// labels^2) aggregation instead of paying it on the batch's first
+  /// request. Safe to call at any time; decisions are byte-identical with
+  /// or without it.
   void WarmSharedState();
 
   /// The results the requester would receive now: the metric-optimal result
@@ -127,7 +129,8 @@ class AssignmentCore {
 
   /// Representative worker for worker-agnostic policies: a WP model at the
   /// mean diagonal quality of all fitted workers (0.75 before any fit).
-  /// Cached — the fitted pool only changes on a full EM refit.
+  /// Built on the first request of a strategy that reads it, then cached —
+  /// the fitted pool only changes on a full EM refit.
   const WorkerModel& TypicalWorker();
   WorkerModel ComputeTypicalWorker() const;
 

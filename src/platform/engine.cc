@@ -198,7 +198,7 @@ util::StatusOr<std::vector<QuestionIndex>> TaskAssignmentEngine::RequestHit(
 std::vector<util::StatusOr<std::vector<QuestionIndex>>>
 TaskAssignmentEngine::ServeRequestBatch(const std::vector<WorkerId>& workers) {
   // One root span and one shared-state warm-up for the whole batch: the
-  // cached typical-worker model (and with it the strategies' Qc view) is
+  // cached typical-worker model, for strategies that read it, is
   // materialised once here instead of inside the first request's span.
   util::Span span(&telemetry_, util::tnames::kSpanServeBatch);
   core_->WarmSharedState();

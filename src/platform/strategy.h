@@ -37,7 +37,8 @@ struct StrategyContext {
   WorkerId worker = 0;
   const WorkerModel* worker_model = nullptr;
   /// A representative "average worker" model fitted over all workers —
-  /// used by policies that disregard who is asking (MaxMargin).
+  /// used by policies that disregard who is asking (MaxMargin). Set only
+  /// for strategies whose ReadsTypicalWorker() is true; nullptr otherwise.
   const WorkerModel* typical_worker = nullptr;
   /// Randomness source for tie-breaking and sampling.
   util::Rng* rng = nullptr;
@@ -77,6 +78,10 @@ class AssignmentStrategy {
 
   /// Name used in experiment reports ("QASCA", "CDAS", ...).
   virtual std::string name() const = 0;
+
+  /// Whether SelectQuestions reads StrategyContext::typical_worker. The
+  /// core builds that model only for strategies that do.
+  virtual bool ReadsTypicalWorker() const { return false; }
 
   /// Selects exactly `k` distinct questions from `candidates`.
   /// `candidates` is non-empty and has at least k elements.

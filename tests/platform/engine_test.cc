@@ -2,6 +2,8 @@
 
 #include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -210,6 +212,41 @@ TEST(EngineTest, RandomStrategyEngineRuns) {
   auto hit = engine.RequestHit(0);
   ASSERT_TRUE(hit.ok());
   EXPECT_TRUE(engine.CompleteHit(0, {0, 1, 1}).ok());
+}
+
+// Picks the first k candidates and records whether the core handed it a
+// typical-worker model.
+class TypicalWorkerProbe final : public AssignmentStrategy {
+ public:
+  TypicalWorkerProbe(bool reads, std::vector<bool>* seen)
+      : reads_(reads), seen_(seen) {}
+  std::string name() const override { return "TypicalWorkerProbe"; }
+  bool ReadsTypicalWorker() const override { return reads_; }
+  std::vector<QuestionIndex> SelectQuestions(
+      const StrategyContext& context,
+      const std::vector<QuestionIndex>& candidates, int k) override {
+    seen_->push_back(context.typical_worker != nullptr);
+    return {candidates.begin(), candidates.begin() + k};
+  }
+
+ private:
+  bool reads_;
+  std::vector<bool>* seen_;
+};
+
+TEST(EngineTest, TypicalWorkerIsBuiltOnlyForStrategiesThatReadIt) {
+  for (bool reads : {false, true}) {
+    std::vector<bool> seen;
+    TaskAssignmentEngine engine(
+        SmallConfig(), std::make_unique<TypicalWorkerProbe>(reads, &seen),
+        /*seed=*/1);
+    for (WorkerId worker : {1, 2}) {
+      ASSERT_TRUE(engine.RequestHit(worker).ok());
+      ASSERT_TRUE(engine.CompleteHit(worker, {0, 1, 0}).ok());
+    }
+    ASSERT_EQ(engine.ServeRequestBatch({3, 4}).size(), 2u);
+    EXPECT_EQ(seen, std::vector<bool>(4, reads)) << "reads=" << reads;
+  }
 }
 
 TEST(EngineDeathTest, InvalidConfigAborts) {

@@ -1,13 +1,15 @@
 """Pass `hot-path-alloc`: no avoidable allocation in the per-HIT kernels.
 
-The three kernels that run on every HIT request/completion — the Top-K
-benefit scan (core/assignment/topk_benefit.cc), Dinkelbach's online
-F-score scan (core/assignment/fscore_online.cc), Qw estimation
-(model/posterior.cc) and the EM E-step (model/em.cc) — dominate assignment
-latency (BENCH_PR3 stage_breakdown). An unreserved vector growing inside
-them, or a container constructed afresh every loop iteration, turns an
-O(n) scan into an allocator benchmark and invalidates the
-ParallelFor capture audit (DESIGN.md §10), which assumes pre-sized slots.
+The kernels that run on every HIT request/completion — the Top-K benefit
+scan (core/assignment/topk_benefit.cc), the F-score online assignment
+(core/assignment/fscore_online.cc) with its Dinkelbach solver
+(core/fractional.cc) and Algorithm-1 warm start (core/metrics/fscore.cc),
+Qw estimation (model/posterior.cc) and the EM refit (model/em.cc) —
+dominate assignment and completion latency (perfbench `--trace 1`). An
+unreserved vector growing inside them, or a container constructed afresh
+every loop iteration, turns an O(n) scan into an allocator benchmark and
+invalidates the ParallelFor capture audit (DESIGN.md §10), which assumes
+pre-sized slots.
 
 Two rules, applied to every function defined in the hot files:
 
@@ -26,6 +28,8 @@ from ..base import ERROR, Finding, SourceTree
 HOT_FILES = (
     "core/assignment/topk_benefit.cc",
     "core/assignment/fscore_online.cc",
+    "core/fractional.cc",
+    "core/metrics/fscore.cc",
     "model/posterior.cc",
     "model/em.cc",
 )
@@ -33,7 +37,8 @@ HOT_FILES = (
 
 class HotPathAllocPass:
     name = "hot-path-alloc"
-    description = ("in the Top-K scan, Qw estimation and E-step kernels: "
+    description = ("in the Top-K scan, F-score/Dinkelbach, Qw estimation "
+                   "and EM kernels: "
                    "push_back requires a reserve/resize in the same "
                    "function, and containers must not be constructed "
                    "per loop iteration")
