@@ -109,8 +109,7 @@ void BM_EstimateWorkerRow(benchmark::State& state) {
   std::vector<double> row(num_labels, 1.0 / num_labels);
   WorkerModel model = WorkerModel::Wp(0.8, num_labels);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        EstimateWorkerRow(row, model, QwMode::kSampled, rng));
+    benchmark::DoNotOptimize(EstimateWorkerRow(row, model, rng));
   }
 }
 BENCHMARK(BM_EstimateWorkerRow)->Arg(2)->Arg(3)->Arg(214);

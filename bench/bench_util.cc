@@ -39,8 +39,7 @@ DistributionMatrix DeriveEstimatedMatrix(const DistributionMatrix& current,
       WorkerModel::Cm({d0, 1.0 - d0, 1.0 - d1, d1}, 2);
   std::vector<QuestionIndex> all(current.num_questions());
   for (int i = 0; i < current.num_questions(); ++i) all[i] = i;
-  return EstimateWorkerDistribution(current, model, all, QwMode::kSampled,
-                                    rng);
+  return EstimateWorkerDistribution(current, model, all, rng);
 }
 
 }  // namespace qasca::bench

@@ -114,13 +114,17 @@ AssignmentResult AssignFScoreOnline(const AssignmentRequest& request,
   }
 
   // Degenerate instance: every target probability is zero, so F-score* is 0
-  // for every assignment; return the first k candidates.
+  // for every assignment. Every score ties, and the selection order (score
+  // descending, then question ascending) picks the k smallest candidates.
   const auto positive = [](double p) { return p > 0.0; };
   if (std::none_of(current.begin(), current.end(), positive) &&
       std::none_of(estimated.begin(), estimated.end(), positive)) {
     AssignmentResult result;
-    result.selected.assign(request.candidates.begin(),
-                           request.candidates.begin() + request.k);
+    result.selected = request.candidates;
+    std::partial_sort(result.selected.begin(),
+                      result.selected.begin() + request.k,
+                      result.selected.end());
+    result.selected.resize(static_cast<size_t>(request.k));
     // Every assignment is equally worthless here, so every swing is zero.
     result.selected_scores.assign(static_cast<size_t>(request.k), 0.0);
     return result;

@@ -21,7 +21,6 @@ struct KernelTable {
   void (*mul_row)(double*, const double*, const double*, int) = nullptr;
   void (*mul_row_in_place)(double*, const double*, int) = nullptr;
   void (*div_row)(double*, int, double) = nullptr;
-  void (*axpy_row)(double*, double, const double*, int) = nullptr;
   void (*wp_answer_distribution)(const double*, int, double, double,
                                  double*) = nullptr;
   void (*cm_answer_distribution)(const double*, const double*, int,

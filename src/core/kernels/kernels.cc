@@ -157,10 +157,6 @@ void DivRow(double* inout, int n, double divisor) {
   ActiveDispatch().table->div_row(inout, n, divisor);
 }
 
-void AxpyRow(double* acc, double scale, const double* x, int n) {
-  ActiveDispatch().table->axpy_row(acc, scale, x, n);
-}
-
 void WpAnswerDistribution(const double* row, int n, double m, double off,
                           double* out) {
   ActiveDispatch().table->wp_answer_distribution(row, n, m, off, out);

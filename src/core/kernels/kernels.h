@@ -14,7 +14,7 @@
 /// report SSE2/AVX2 as unsupported.
 ///
 /// Bit-identity contract: every ISA path returns *bit-identical* doubles
-/// for every input. Element-wise kernels (MulRow, DivRow, AxpyRow,
+/// for every input. Element-wise kernels (MulRow, DivRow,
 /// WpAnswerDistribution) are exact per IEEE-754 — each output lane performs
 /// the same correctly-rounded op sequence as the scalar loop, and every
 /// kernel TU compiles with -ffp-contract=off so no FMA contraction can
@@ -78,9 +78,6 @@ void MulRowInPlace(double* inout, const double* b, int n);
 /// inout[i] /= divisor (a true division — not a reciprocal multiply — so
 /// the result matches the scalar normalisation loop bit-for-bit).
 void DivRow(double* inout, int n, double divisor);
-
-/// acc[i] += scale * x[i], multiply-then-add (never fused).
-void AxpyRow(double* acc, double scale, const double* x, int n);
 
 /// Closed-form WP answer distribution (Eq. 17 for a worker-probability
 /// model): out[i] = m * row[i] + off * (1.0 - row[i]).

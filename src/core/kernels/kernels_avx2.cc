@@ -72,16 +72,6 @@ void DivRowImpl(double* inout, int n, double divisor) {
   for (; i < n; ++i) inout[i] /= divisor;
 }
 
-void AxpyRowImpl(double* acc, double scale, const double* x, int n) {
-  const __m256d s = _mm256_set1_pd(scale);
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d product = _mm256_mul_pd(s, _mm256_loadu_pd(x + i));
-    _mm256_storeu_pd(acc + i, _mm256_add_pd(_mm256_loadu_pd(acc + i), product));
-  }
-  for (; i < n; ++i) acc[i] += scale * x[i];
-}
-
 void WpAnswerDistributionImpl(const double* row, int n, double m, double off,
                               double* out) {
   const __m256d mv = _mm256_set1_pd(m);
@@ -121,8 +111,8 @@ const KernelTable& Avx2Kernels() {
   static const KernelTable table = {
       RowSumImpl,        RowMaxImpl,
       MulRowImpl,        MulRowInPlaceImpl,
-      DivRowImpl,        AxpyRowImpl,
-      WpAnswerDistributionImpl, CmAnswerDistributionImpl,
+      DivRowImpl,        WpAnswerDistributionImpl,
+      CmAnswerDistributionImpl,
   };
   return table;
 }

@@ -48,10 +48,6 @@ void DivRowImpl(double* inout, int n, double divisor) {
   for (int i = 0; i < n; ++i) inout[i] /= divisor;
 }
 
-void AxpyRowImpl(double* acc, double scale, const double* x, int n) {
-  for (int i = 0; i < n; ++i) acc[i] += scale * x[i];
-}
-
 void WpAnswerDistributionImpl(const double* row, int n, double m, double off,
                               double* out) {
   for (int i = 0; i < n; ++i) out[i] = m * row[i] + off * (1.0 - row[i]);
@@ -76,8 +72,8 @@ const KernelTable& ScalarKernels() {
   static const KernelTable table = {
       RowSumImpl,        RowMaxImpl,
       MulRowImpl,        MulRowInPlaceImpl,
-      DivRowImpl,        AxpyRowImpl,
-      WpAnswerDistributionImpl, CmAnswerDistributionImpl,
+      DivRowImpl,        WpAnswerDistributionImpl,
+      CmAnswerDistributionImpl,
   };
   return table;
 }

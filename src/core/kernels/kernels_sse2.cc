@@ -70,16 +70,6 @@ void DivRowImpl(double* inout, int n, double divisor) {
   for (; i < n; ++i) inout[i] /= divisor;
 }
 
-void AxpyRowImpl(double* acc, double scale, const double* x, int n) {
-  const __m128d s = _mm_set1_pd(scale);
-  int i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128d product = _mm_mul_pd(s, _mm_loadu_pd(x + i));
-    _mm_storeu_pd(acc + i, _mm_add_pd(_mm_loadu_pd(acc + i), product));
-  }
-  for (; i < n; ++i) acc[i] += scale * x[i];
-}
-
 void WpAnswerDistributionImpl(const double* row, int n, double m, double off,
                               double* out) {
   const __m128d mv = _mm_set1_pd(m);
@@ -118,8 +108,8 @@ const KernelTable& Sse2Kernels() {
   static const KernelTable table = {
       RowSumImpl,        RowMaxImpl,
       MulRowImpl,        MulRowInPlaceImpl,
-      DivRowImpl,        AxpyRowImpl,
-      WpAnswerDistributionImpl, CmAnswerDistributionImpl,
+      DivRowImpl,        WpAnswerDistributionImpl,
+      CmAnswerDistributionImpl,
   };
   return table;
 }

@@ -1,7 +1,5 @@
 #include "model/posterior.h"
 
-#include <algorithm>
-
 #include "core/kernels/kernels.h"
 #include "util/fold.h"
 #include "util/invariants.h"
@@ -87,8 +85,7 @@ DistributionMatrix ComputeCurrentDistribution(
 }
 
 std::vector<double> EstimateWorkerRowAt(std::span<const double> current_row,
-                                        const WorkerModel& model, QwMode mode,
-                                        double u01) {
+                                        const WorkerModel& model, double u01) {
   const int num_labels = static_cast<int>(current_row.size());
   QASCA_CHECK_EQ(model.num_labels(), num_labels);
 
@@ -113,63 +110,36 @@ std::vector<double> EstimateWorkerRowAt(std::span<const double> current_row,
     }
   }
 
-  // Qw_{i,j} proportional to Qc_{i,j} * P(a = answered | t = j) (Eq. 18),
-  // written into `out`.
-  auto conditioned_into = [&](LabelIndex answered, std::vector<double>& out) {
-    for (int j = 0; j < num_labels; ++j) {
-      out[j] = current_row[j] * model.AnswerProbability(answered, j);
-    }
-    NormalizeInPlace(out);
-  };
-
-  if (mode == QwMode::kSampled) {
-    LabelIndex sampled = util::SampleWeightedAt(answer_distribution, u01);
-    std::vector<double> weights(num_labels);
-    conditioned_into(sampled, weights);
-    return weights;
-  }
-
-  // kExpected: mixture of the conditioned posteriors weighted by the
-  // predicted answer distribution. One conditioned-row buffer is reused
-  // across the mixture terms.
-  std::vector<double> expected(num_labels, 0.0);
+  // Sample the answered label, then Qw_{i,j} proportional to
+  // Qc_{i,j} * P(a = answered | t = j) (Eq. 18).
+  const LabelIndex sampled = util::SampleWeightedAt(answer_distribution, u01);
   std::vector<double> weights(num_labels);
-  for (int answered = 0; answered < num_labels; ++answered) {
-    if (answer_distribution[answered] <= 0.0) continue;
-    conditioned_into(answered, weights);
-    for (int j = 0; j < num_labels; ++j) {
-      expected[j] += answer_distribution[answered] * weights[j];
-    }
+  for (int j = 0; j < num_labels; ++j) {
+    weights[j] = current_row[j] * model.AnswerProbability(sampled, j);
   }
-  NormalizeInPlace(expected);
-  QASCA_DCHECK_OK(invariants::CheckDistributionRow(expected));
-  return expected;
+  NormalizeInPlace(weights);
+  return weights;
 }
 
 std::vector<double> EstimateWorkerRow(std::span<const double> current_row,
-                                      const WorkerModel& model, QwMode mode,
+                                      const WorkerModel& model,
                                       util::Rng& rng) {
-  return EstimateWorkerRowAt(current_row, model, mode,
-                             mode == QwMode::kSampled ? rng.Uniform() : 0.0);
+  return EstimateWorkerRowAt(current_row, model, rng.Uniform());
 }
 
 DistributionMatrix EstimateWorkerDistribution(
     const DistributionMatrix& current, const WorkerModel& model,
-    const std::vector<QuestionIndex>& candidates, QwMode mode,
-    util::Rng& rng) {
+    const std::vector<QuestionIndex>& candidates, util::Rng& rng) {
   DistributionMatrix qw = current;
   // One base draw per call keeps the caller's Rng stream advanced the same
   // way regardless of candidate count; every candidate then derives its own
   // counter-based stream from (base, question index).
-  const uint64_t base = mode == QwMode::kSampled ? rng.engine()() : 0;
+  const uint64_t base = rng.engine()();
   for (QuestionIndex i : candidates) {
-    double u01 = 0.0;
-    if (mode == QwMode::kSampled) {
-      util::SplitMix64 stream(
-          util::SplitMix64::MixSeed(base, static_cast<uint64_t>(i)));
-      u01 = stream.NextDouble();
-    }
-    qw.SetRow(i, EstimateWorkerRowAt(current.Row(i), model, mode, u01));
+    util::SplitMix64 stream(
+        util::SplitMix64::MixSeed(base, static_cast<uint64_t>(i)));
+    qw.SetRow(i, EstimateWorkerRowAt(current.Row(i), model,
+                                     stream.NextDouble()));
   }
   return qw;
 }
@@ -186,8 +156,8 @@ void EstimateWorkerRowsInto(const DistributionMatrix& current,
                             const WorkerModel& model,
                             const WorkerLikelihoods& likelihoods,
                             const std::vector<QuestionIndex>& candidates,
-                            QwMode mode, util::Rng& rng, QwOverlay* overlay,
-                            util::ThreadPool* pool,
+                            QwMode /*mode*/, util::Rng& rng,
+                            QwOverlay* overlay, util::ThreadPool* pool,
                             util::MetricRegistry* telemetry,
                             bool fuse_row_max) {
   QASCA_CHECK(overlay != nullptr);
@@ -206,49 +176,20 @@ void EstimateWorkerRowsInto(const DistributionMatrix& current,
     }
   }
 
-  const bool wp_closed_form =
-      mode == QwMode::kExpected &&
-      model.kind() == WorkerModel::Kind::kWorkerProbability && num_labels > 1;
-
   if (telemetry != nullptr) {
-    if (mode == QwMode::kSampled) {
-      telemetry->GetCounter(util::tnames::kQwSamplesDrawn)
-          ->Add(static_cast<int64_t>(count));
-    }
-    if (wp_closed_form) {
-      telemetry->GetCounter(util::tnames::kQwClosedFormRows)
-          ->Add(static_cast<int64_t>(count));
-    }
+    telemetry->GetCounter(util::tnames::kQwSamplesDrawn)
+        ->Add(static_cast<int64_t>(count));
     telemetry->GetCounter(util::tnames::kQwOverlayRows)
         ->Add(static_cast<int64_t>(count));
   }
 
-  // Same base-draw discipline as EstimateWorkerDistribution: kExpected
-  // consumes no randomness at all, kSampled takes exactly one engine draw
-  // and derives per-candidate SplitMix64 streams from (base, question).
-  const uint64_t base = mode == QwMode::kSampled ? rng.engine()() : 0;
+  // Same base-draw discipline as EstimateWorkerDistribution: exactly one
+  // engine draw, from which every candidate derives its own SplitMix64
+  // stream seeded by (base, question).
+  const uint64_t base = rng.engine()();
 
   if (count == 0) return;
   double* row_max = fuse_row_max ? overlay->ArmQualities() : nullptr;
-
-  if (wp_closed_form) {
-    // E[Qw_i] = sum_a P(a | D_i) * conditioned(a) = Qc_i exactly (law of
-    // total probability over Eqs. 17-18; the per-answer normalisers are the
-    // mixture weights). Copy the current rows instead of materialising and
-    // re-normalising the mixture.
-    const kernels::RowMaxFn fused_max = kernels::ActiveRowMax();
-    util::ParallelFor(pool, 0, count, kQwScanGrain, [&](int cb, int ce) {
-      for (int c = cb; c < ce; ++c) {
-        QuestionIndex i = candidates[static_cast<size_t>(c)];
-        std::span<const double> cur = current.Row(i);
-        std::copy(cur.begin(), cur.end(), overlay->MutableRow(c));
-        if (row_max != nullptr) {
-          row_max[c] = fused_max(cur.data(), num_labels);
-        }
-      }
-    });
-    return;
-  }
 
   // WP answer distributions come from the O(l) closed-form kernel; every
   // other model shape goes through the confusion-matrix kernel against one
@@ -263,75 +204,35 @@ void EstimateWorkerRowsInto(const DistributionMatrix& current,
   std::vector<double> cm;
   if (!use_wp_kernel) cm = model.AsConfusionMatrix();
 
-  // Per-chunk kernel scratch: two l-sized rows per chunk (the predicted
-  // answer distribution and, for kExpected mixtures, one conditioned row),
-  // addressed by the canonical chunk index so parallel chunks never share.
+  // Per-chunk kernel scratch: one l-sized row per chunk (the predicted
+  // answer distribution), addressed by the canonical chunk index so
+  // parallel chunks never share.
   std::vector<double> scratch(
-      static_cast<size_t>(util::NumChunks(0, count, kQwScanGrain)) * 2 *
+      static_cast<size_t>(util::NumChunks(0, count, kQwScanGrain)) *
       num_labels);
 
-  if (mode == QwMode::kSampled) {
-    // Fused batch kernel (kernels::SampledQwRows): answer distribution,
-    // per-candidate SplitMix64 variate, weighted draw, conditioning and
-    // normalisation in one dispatch per chunk. Overlay slots are
-    // slot-contiguous per chunk (slot == candidate position), so the chunk
-    // writes one dense [cb, ce) block of rows — and of fused row maxima.
-    const double* qc_base = current.Row(0).data();
-    util::Span batch_span(telemetry, util::tnames::kSpanQwSampledBatch);
-    util::ParallelFor(pool, 0, count, kQwScanGrain, [&](int cb, int ce) {
-      const int chunk = util::ChunkIndex(0, cb, kQwScanGrain);
-      double* dist =
-          scratch.data() + static_cast<size_t>(chunk) * 2 * num_labels;
-      kernels::SampledQwRows(
-          qc_base, num_labels, candidates.data() + cb, ce - cb, base, wp_m,
-          wp_off, use_wp_kernel ? nullptr : cm.data(), likelihoods.Row(0),
-          overlay->MutableRow(cb), row_max != nullptr ? row_max + cb : nullptr,
-          dist);
-#if QASCA_ENABLE_DCHECKS
-      for (int c = cb; c < ce; ++c) {
-        QASCA_DCHECK_OK(invariants::CheckDistributionRow(
-            std::span<const double>(overlay->MutableRow(c),
-                                    static_cast<size_t>(num_labels))));
-      }
-#endif
-    });
-    return;
-  }
-
+  // Fused batch kernel (kernels::SampledQwRows): answer distribution,
+  // per-candidate SplitMix64 variate, weighted draw, conditioning and
+  // normalisation in one dispatch per chunk. Overlay slots are
+  // slot-contiguous per chunk (slot == candidate position), so the chunk
+  // writes one dense [cb, ce) block of rows — and of fused row maxima.
+  const double* qc_base = current.Row(0).data();
+  util::Span batch_span(telemetry, util::tnames::kSpanQwSampledBatch);
   util::ParallelFor(pool, 0, count, kQwScanGrain, [&](int cb, int ce) {
     const int chunk = util::ChunkIndex(0, cb, kQwScanGrain);
-    double* dist =
-        scratch.data() + static_cast<size_t>(chunk) * 2 * num_labels;
-    double* mix = dist + num_labels;
+    double* dist = scratch.data() + static_cast<size_t>(chunk) * num_labels;
+    kernels::SampledQwRows(
+        qc_base, num_labels, candidates.data() + cb, ce - cb, base, wp_m,
+        wp_off, use_wp_kernel ? nullptr : cm.data(), likelihoods.Row(0),
+        overlay->MutableRow(cb), row_max != nullptr ? row_max + cb : nullptr,
+        dist);
+#if QASCA_ENABLE_DCHECKS
     for (int c = cb; c < ce; ++c) {
-      QuestionIndex i = candidates[static_cast<size_t>(c)];
-      std::span<const double> cur = current.Row(i);
-      // Predicted answer distribution P(a = j' | D_i) (Eq. 17).
-      if (use_wp_kernel) {
-        kernels::WpAnswerDistribution(cur.data(), num_labels, wp_m, wp_off,
-                                      dist);
-      } else {
-        kernels::CmAnswerDistribution(cm.data(), cur.data(), num_labels,
-                                      dist);
-      }
-      double* out = overlay->MutableRow(c);
-      // kExpected mixture (non-WP models): accumulate the conditioned
-      // posteriors weighted by the predicted answer distribution.
-      std::fill(out, out + num_labels, 0.0);
-      for (int answered = 0; answered < num_labels; ++answered) {
-        if (dist[answered] <= 0.0) continue;
-        kernels::MulRow(mix, cur.data(), likelihoods.Row(answered),
-                        num_labels);
-        NormalizePosteriorRow(mix, num_labels);
-        kernels::AxpyRow(out, dist[answered], mix, num_labels);
-      }
-      NormalizePosteriorRow(out, num_labels);
-      if (row_max != nullptr) {
-        row_max[c] = kernels::RowMax(out, num_labels);
-      }
       QASCA_DCHECK_OK(invariants::CheckDistributionRow(
-          std::span<const double>(out, static_cast<size_t>(num_labels))));
+          std::span<const double>(overlay->MutableRow(c),
+                                  static_cast<size_t>(num_labels))));
     }
+#endif
   });
 }
 

@@ -98,34 +98,27 @@ DistributionMatrix ComputeCurrentDistribution(const AnswerSet& answers,
                                               const WorkerModelLookup& models);
 
 /// How the estimated row Qw_i is derived from the predicted answer
-/// distribution (Section 5.3).
+/// distribution (Section 5.3). The paper's sampled estimator is the only
+/// one; the type stays because AppConfig::qw_mode, QascaStrategy and
+/// EstimateWorkerRowsInto carry it, and perfbench passes it through them.
 enum class QwMode {
-  /// The paper's method: sample the label the worker would answer by
-  /// weighted random sampling over P(a = j' | D_i) (Eq. 17), then condition
-  /// on it (Eq. 18).
+  /// Sample the label the worker would answer by weighted random sampling
+  /// over P(a = j' | D_i) (Eq. 17), then condition on it (Eq. 18).
   kSampled,
-  /// Deterministic ablation: average the conditioned posterior over the
-  /// whole predicted answer distribution instead of sampling one label.
-  /// For WP models this expectation has an exact closed form — it is the
-  /// current row Qc_i itself (law of total probability over Eqs. 17–18) —
-  /// which the overlay path returns directly instead of materialising the
-  /// mixture (counted as tnames::kQwClosedFormRows).
-  kExpected,
 };
 
 /// Estimates row i of Qw for a worker with model `model`, given the current
-/// row Qc_i and the uniform variate `u01` in [0, 1) that drives the kSampled
-/// weighted draw (ignored in kExpected mode). This is the deterministic core
-/// of Qw estimation: given identical inputs it returns an identical row on
-/// any thread.
+/// row Qc_i and the uniform variate `u01` in [0, 1) that drives the
+/// weighted draw of the answered label. This is the deterministic core of
+/// Qw estimation: given identical inputs it returns an identical row on any
+/// thread.
 std::vector<double> EstimateWorkerRowAt(std::span<const double> current_row,
-                                        const WorkerModel& model, QwMode mode,
-                                        double u01);
+                                        const WorkerModel& model, double u01);
 
 /// Estimates row i of Qw for a worker with model `model`, given the current
-/// row Qc_i. `rng` is used only in kSampled mode (exactly one draw).
+/// row Qc_i, drawing the variate from `rng` (exactly one draw).
 std::vector<double> EstimateWorkerRow(std::span<const double> current_row,
-                                      const WorkerModel& model, QwMode mode,
+                                      const WorkerModel& model,
                                       util::Rng& rng);
 
 /// The estimated distribution matrix Qw for a worker (Section 5.3). Only
@@ -133,17 +126,17 @@ std::vector<double> EstimateWorkerRow(std::span<const double> current_row,
 /// `current` (they are never read by the assignment algorithms, but copying
 /// keeps the matrix fully normalised).
 ///
-/// Randomness contract: in kSampled mode exactly one 64-bit base draw is
-/// taken from `rng` per call, and each candidate row samples from its own
-/// SplitMix64 stream seeded by (base, question index). Row values therefore
-/// depend only on the base draw and the question, not on candidate order.
+/// Randomness contract: exactly one 64-bit base draw is taken from `rng`
+/// per call, and each candidate row samples from its own SplitMix64 stream
+/// seeded by (base, question index). Row values therefore depend only on
+/// the base draw and the question, not on candidate order.
 ///
 /// A serial, row-at-a-time reference (an O(n*l) copy per call): the serving
 /// path uses EstimateWorkerRowsInto + QwOverlay, which the overlay tests
 /// hold bit-identical to this.
 DistributionMatrix EstimateWorkerDistribution(
     const DistributionMatrix& current, const WorkerModel& model,
-    const std::vector<QuestionIndex>& candidates, QwMode mode, util::Rng& rng);
+    const std::vector<QuestionIndex>& candidates, util::Rng& rng);
 
 /// Zero-copy Qw estimation (DESIGN.md §12): materialises only the candidate
 /// rows into `overlay` (reusable per-strategy scratch; reads of other rows
@@ -156,13 +149,8 @@ DistributionMatrix EstimateWorkerDistribution(
 /// Same randomness contract as EstimateWorkerDistribution, and bit-identical
 /// overlay rows: for every candidate i, overlay->Row(i) holds exactly the
 /// doubles EstimateWorkerDistribution's row i would hold — the kernel
-/// equivalence suite pins this across every ISA. The one deliberate
-/// exception is kExpected with a WP model, where the rows come from the
-/// exact closed form (see QwMode) instead of the numerically-accumulated
-/// mixture: the closed form is the true value the reference mixture only
-/// approaches to within rounding, so those rows agree with
-/// EstimateWorkerDistribution to ~1e-12 rather than bitwise. Golden traces
-/// and the engine default run kSampled, which is bitwise-pinned.
+/// equivalence suite pins this across every ISA. `mode` is always
+/// QwMode::kSampled (see QwMode for why the parameter stays).
 /// When `fuse_row_max` is set, the overlay's quality channel is armed and
 /// each materialised row's maximum — the Accuracy* row quality — is written
 /// alongside the row while it is still hot (QwOverlay::ArmQualities), so

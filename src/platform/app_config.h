@@ -35,7 +35,9 @@ struct AppConfig {
   MetricSpec metric = MetricSpec::Accuracy();
   /// Worker-model parameterisation fitted by EM on HIT completion.
   WorkerModel::Kind worker_kind = WorkerModel::Kind::kConfusionMatrix;
-  /// How Qw rows are derived (Section 5.3; the paper samples).
+  /// How Qw rows are derived (Section 5.3). kSampled, the paper's
+  /// estimator, is the only value; the field stays because perfbench
+  /// passes it to QascaStrategy and EstimateWorkerRowsInto.
   QwMode qw_mode = QwMode::kSampled;
   /// EM settings used on each HIT-completion event.
   EmOptions em;

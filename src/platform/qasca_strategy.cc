@@ -51,8 +51,8 @@ std::vector<QuestionIndex> QascaStrategy::SelectQuestions(
     const bool fuse_row_max =
         context.metric->kind == MetricSpec::Kind::kAccuracy;
     EstimateWorkerRowsInto(qc, *context.worker_model, likelihoods, candidates,
-                           qw_mode_, *context.rng, &overlay_, context.pool,
-                           context.telemetry, fuse_row_max);
+                           QwMode::kSampled, *context.rng, &overlay_,
+                           context.pool, context.telemetry, fuse_row_max);
   }
   request.estimated = &qc;
   request.overlay = &overlay_;

@@ -25,10 +25,9 @@ namespace qasca {
 /// re-begun per selection).
 class QascaStrategy final : public AssignmentStrategy {
  public:
-  /// `qw_mode` selects the paper's sampled Qw estimation or the expected
-  /// ablation variant (see QwMode).
-  explicit QascaStrategy(QwMode qw_mode = QwMode::kSampled)
-      : qw_mode_(qw_mode) {}
+  /// Qw is always the paper's sampled estimate; the QwMode parameter stays
+  /// because perfbench constructs the strategy from AppConfig::qw_mode.
+  explicit QascaStrategy(QwMode /*qw_mode*/ = QwMode::kSampled) {}
 
   std::string name() const override { return "QASCA"; }
 
@@ -42,7 +41,6 @@ class QascaStrategy final : public AssignmentStrategy {
   int last_inner_iterations() const { return last_inner_iterations_; }
 
  private:
-  QwMode qw_mode_;
   int last_outer_iterations_ = 0;
   int last_inner_iterations_ = 0;
   /// Reusable zero-copy Qw scratch (candidate rows only; DESIGN.md §12).

@@ -328,9 +328,8 @@ util::Status BuildServingApps(AppManager& manager,
     }
     AppManager::AppOptions app_options;
     app_options.config = std::move(config);
-    const QwMode qw_mode = app_options.config.qw_mode;
-    app_options.strategy_factory = [qw_mode] {
-      return std::make_unique<QascaStrategy>(qw_mode);
+    app_options.strategy_factory = [] {
+      return std::make_unique<QascaStrategy>();
     };
     app_options.seed = Mix(seed ^ (static_cast<uint64_t>(app) + 0xa550));
     util::StatusOr<AppId> id = manager.RegisterApp(std::move(app_options));

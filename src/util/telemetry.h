@@ -223,8 +223,8 @@ class MetricRegistry {
   TelemetrySnapshot Snapshot() const QASCA_EXCLUDES(mutex_);
 
   /// One JSON object: {"enabled":..,"counters":{..},"gauges":{..},
-  /// "latencies":{"name":{"count":..,"p50_ms":..,...},..}}. Consumed by
-  /// bench_hotpath_scaling / BENCH_PR3.json.
+  /// "latencies":{"name":{"count":..,"p50_ms":..,...},..}}. Served per app
+  /// by AppManager::AppTelemetryJson.
   std::string ToJson() const;
 
   /// Prometheus text exposition: counters/gauges plus one summary per

@@ -45,12 +45,10 @@ inline constexpr char kEmIncrementalRefreshes[] = "em.incremental_refreshes";
 inline constexpr char kEmIterations[] = "em.iterations";
 inline constexpr char kQwSamplesDrawn[] = "qw.samples_drawn";
 // Assignment-kernel overhaul (DESIGN.md §12): per-worker likelihood-table
-// cache hits/misses, rows served by the exact WP closed form instead of a
-// weighted draw, and candidate rows materialised into the Qw overlay.
+// cache hits/misses and candidate rows materialised into the Qw overlay.
 inline constexpr char kQwLikelihoodCacheHits[] = "qw.likelihood_cache_hits";
 inline constexpr char kQwLikelihoodCacheMisses[] =
     "qw.likelihood_cache_misses";
-inline constexpr char kQwClosedFormRows[] = "qw.closed_form_rows";
 inline constexpr char kQwOverlayRows[] = "qw.overlay_rows";
 inline constexpr char kTopkCandidatesScanned[] = "topk.candidates_scanned";
 inline constexpr char kDinkelbachOuterIterations[] =

@@ -160,7 +160,7 @@ TEST_F(StrategyTest, MaxMarginIgnoresRequestingWorker) {
 
 TEST_F(StrategyTest, QascaAccuracySelectsHighestBenefit) {
   SetTargetProbs({0.5, 0.9, 0.55, 0.95, 0.6, 0.99});
-  QascaStrategy strategy(QwMode::kExpected);
+  QascaStrategy strategy;
   auto selected = strategy.SelectQuestions(context_, AllCandidates(), 2);
   EXPECT_EQ(selected.size(), 2u);
   // The near-certain questions cannot be selected: their benefit is ~0.
@@ -173,7 +173,7 @@ TEST_F(StrategyTest, QascaAccuracySelectsHighestBenefit) {
 TEST_F(StrategyTest, QascaFScoreUsesOnlineAssignment) {
   metric_ = MetricSpec::FScore(0.75, 0);
   SetTargetProbs({0.8, 0.6, 0.25, 0.5, 0.9, 0.3});
-  QascaStrategy strategy(QwMode::kExpected);
+  QascaStrategy strategy;
   auto selected = strategy.SelectQuestions(context_, AllCandidates(), 2);
   EXPECT_EQ(selected.size(), 2u);
   EXPECT_GE(strategy.last_outer_iterations(), 1);

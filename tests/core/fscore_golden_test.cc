@@ -194,7 +194,7 @@ const OnlineCase kOnlineCases[] = {
     {"n600_l2_t0_a75_kall_shuf_warm", 600, 2, 0, 0.75, 0, true, true, false,
      false, 0, false, 0x6791f0b71363cf15ull},
     {"n600_l2_t0_a50_k4_zero_mass", 600, 2, 0, 0.5, 4, true, true, false,
-     true, 0, false, 0x5b5fa0faa9f4c5ceull},
+     true, 0, false, 0xc78d2c30841b6c5dull},
     {"n2000_l2_t0_a50_k4_asc_warm", 2000, 2, 0, 0.5, 4, false, true, false,
      false, 0, false, 0xd5b7b2d87f92826full},
     {"n2000_l2_t0_a50_k4_asc_warm_pool", 2000, 2, 0, 0.5, 4, false, true,
@@ -261,11 +261,14 @@ TEST_P(FScoreOnlineGoldenTest, HashMatchesPinnedValue) {
   options.warm_start = c.warm_start;
   const AssignmentResult result = AssignFScoreOnline(request, options);
   ASSERT_EQ(static_cast<int>(result.selected.size()), request.k);
-  // The zero-mass shortcut returns the first k candidates in the order
-  // given; every other result is ascending.
-  if (!c.zero_mass) {
-    EXPECT_TRUE(
-        std::is_sorted(result.selected.begin(), result.selected.end()));
+  EXPECT_TRUE(std::is_sorted(result.selected.begin(), result.selected.end()));
+  if (c.zero_mass) {
+    // Every score ties at zero, so the selection order (score descending,
+    // then question ascending) picks the k smallest candidates.
+    std::vector<QuestionIndex> smallest = request.candidates;
+    std::sort(smallest.begin(), smallest.end());
+    smallest.resize(static_cast<size_t>(request.k));
+    EXPECT_EQ(result.selected, smallest);
   }
   EXPECT_EQ(HashAssignment(result), c.expected_hash)
       << c.name << ": 0x" << std::hex << HashAssignment(result);

@@ -146,7 +146,7 @@ TEST(KernelEquivalenceTest, RowMaxMatchesStdMaxElement) {
 }
 
 TEST(KernelEquivalenceTest, ElementwiseKernelsBitIdenticalAcrossIsas) {
-  // MulRow / MulRowInPlace / DivRow / AxpyRow / WpAnswerDistribution are
+  // MulRow / MulRowInPlace / DivRow / WpAnswerDistribution are
   // exact per IEEE-754: each lane is the same correctly-rounded expression
   // as the scalar loop, with contraction disabled. So every ISA must agree
   // with the scalar path bit-for-bit on every element.
@@ -155,33 +155,29 @@ TEST(KernelEquivalenceTest, ElementwiseKernelsBitIdenticalAcrossIsas) {
     const std::vector<double> a = TestRow(n, /*salt=*/1000u + n);
     const std::vector<double> b = TestRow(n, /*salt=*/2000u + n);
     const double divisor = 0.37 + 0.01 * n;
-    const double scale = 0.59 + 0.003 * n;
     const double m = 0.81;
     const double off = (1.0 - m) / 3.0;
 
-    std::vector<double> mul_ref(a.size()), axpy_ref(b), wp_ref(a.size());
+    std::vector<double> mul_ref(a.size()), wp_ref(a.size());
     std::vector<double> div_ref(a), mulin_ref(a);
     kernels::SetIsaForTesting(Isa::kScalar);
     kernels::MulRow(mul_ref.data(), a.data(), b.data(), n);
     kernels::MulRowInPlace(mulin_ref.data(), b.data(), n);
     kernels::DivRow(div_ref.data(), n, divisor);
-    kernels::AxpyRow(axpy_ref.data(), scale, a.data(), n);
     kernels::WpAnswerDistribution(a.data(), n, m, off, wp_ref.data());
 
     for (Isa isa : SupportedIsas()) {
       kernels::SetIsaForTesting(isa);
-      std::vector<double> mul(a.size()), axpy(b), wp(a.size());
+      std::vector<double> mul(a.size()), wp(a.size());
       std::vector<double> div(a), mulin(a);
       kernels::MulRow(mul.data(), a.data(), b.data(), n);
       kernels::MulRowInPlace(mulin.data(), b.data(), n);
       kernels::DivRow(div.data(), n, divisor);
-      kernels::AxpyRow(axpy.data(), scale, a.data(), n);
       kernels::WpAnswerDistribution(a.data(), n, m, off, wp.data());
       const char* name = kernels::IsaName(isa);
       EXPECT_EQ(mul, mul_ref) << "MulRow n=" << n << " isa=" << name;
       EXPECT_EQ(mulin, mulin_ref) << "MulRowInPlace n=" << n << " " << name;
       EXPECT_EQ(div, div_ref) << "DivRow n=" << n << " isa=" << name;
-      EXPECT_EQ(axpy, axpy_ref) << "AxpyRow n=" << n << " isa=" << name;
       EXPECT_EQ(wp, wp_ref) << "WpAnswerDistribution n=" << n << " " << name;
     }
   }
@@ -189,21 +185,18 @@ TEST(KernelEquivalenceTest, ElementwiseKernelsBitIdenticalAcrossIsas) {
 
 TEST(KernelEquivalenceTest, ElementwiseKernelsMatchScalarExpressions) {
   // And the scalar expressions themselves are pinned: out = a*b, in /= d
-  // (true division), acc += s*x (multiply then add).
+  // (true division).
   for (int n : {1, 2, 3, 4, 7, 16, 33}) {
     const std::vector<double> a = TestRow(n, /*salt=*/4000u + n);
     const std::vector<double> b = TestRow(n, /*salt=*/5000u + n);
     const double divisor = 1.7;
-    const double scale = 0.21;
-    std::vector<double> mul(a.size()), axpy(b), div(a);
+    std::vector<double> mul(a.size()), div(a);
     kernels::MulRow(mul.data(), a.data(), b.data(), n);
     kernels::DivRow(div.data(), n, divisor);
-    kernels::AxpyRow(axpy.data(), scale, a.data(), n);
     for (int i = 0; i < n; ++i) {
       const size_t s = static_cast<size_t>(i);
       EXPECT_EQ(mul[s], a[s] * b[s]);
       EXPECT_EQ(div[s], a[s] / divisor);
-      EXPECT_EQ(axpy[s], b[s] + scale * a[s]);
     }
   }
 }

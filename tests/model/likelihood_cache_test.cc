@@ -121,38 +121,32 @@ std::vector<QwScenario> QwScenarios() {
   };
 }
 
-void ExpectOverlayMatchesLegacy(const QwScenario& s, QwMode mode,
-                                util::ThreadPool* pool, bool expect_bitwise) {
+void ExpectOverlayMatchesLegacy(const QwScenario& s, util::ThreadPool* pool) {
   const int n = 12;
   const int l = s.model.num_labels();
   const DistributionMatrix qc = MakeCurrent(n, l, /*salt=*/41);
   const std::vector<QuestionIndex> candidates = {1, 3, 4, 8, 11};
 
   util::Rng legacy_rng(1234);
-  const DistributionMatrix legacy = EstimateWorkerDistribution(
-      qc, s.model, candidates, mode, legacy_rng);
+  const DistributionMatrix legacy =
+      EstimateWorkerDistribution(qc, s.model, candidates, legacy_rng);
 
   const WorkerLikelihoods table = WorkerLikelihoods::FromModel(s.model);
   QwOverlay overlay;
   util::Rng overlay_rng(1234);
-  EstimateWorkerRowsInto(qc, s.model, table, candidates, mode, overlay_rng,
-                         &overlay, pool);
+  EstimateWorkerRowsInto(qc, s.model, table, candidates, QwMode::kSampled,
+                         overlay_rng, &overlay, pool);
 
-  // Identical rng consumption (kSampled: exactly one base draw; kExpected:
-  // none) — the next draw from either generator must agree.
+  // Identical rng consumption (exactly one base draw) — the next draw from
+  // either generator must agree.
   EXPECT_EQ(legacy_rng.engine()(), overlay_rng.engine()());
 
   for (QuestionIndex i : candidates) {
     ASSERT_TRUE(overlay.Contains(i)) << s.name << " i=" << i;
     const std::span<const double> row = overlay.Row(i);
     for (int j = 0; j < l; ++j) {
-      if (expect_bitwise) {
-        EXPECT_EQ(row[j], legacy.At(i, j)) << s.name << " i=" << i
-                                           << " j=" << j;
-      } else {
-        EXPECT_NEAR(row[j], legacy.At(i, j), 1e-12)
-            << s.name << " i=" << i << " j=" << j;
-      }
+      EXPECT_EQ(row[j], legacy.At(i, j)) << s.name << " i=" << i
+                                         << " j=" << j;
     }
   }
   // Non-candidates are never materialised — reads fall through to Qc.
@@ -163,54 +157,14 @@ void ExpectOverlayMatchesLegacy(const QwScenario& s, QwMode mode,
 
 TEST(EstimateWorkerRowsIntoTest, SampledModeBitwiseMatchesLegacy) {
   for (const QwScenario& s : QwScenarios()) {
-    ExpectOverlayMatchesLegacy(s, QwMode::kSampled, /*pool=*/nullptr,
-                               /*expect_bitwise=*/true);
+    ExpectOverlayMatchesLegacy(s, /*pool=*/nullptr);
   }
 }
 
 TEST(EstimateWorkerRowsIntoTest, SampledModeBitwiseMatchesLegacyThreaded) {
   util::ThreadPool pool(4);
   for (const QwScenario& s : QwScenarios()) {
-    ExpectOverlayMatchesLegacy(s, QwMode::kSampled, &pool,
-                               /*expect_bitwise=*/true);
-  }
-}
-
-TEST(EstimateWorkerRowsIntoTest, ExpectedModeCmBitwiseMatchesLegacy) {
-  // CM models have no closed form: kExpected runs the same numerically
-  // accumulated mixture as the legacy path, so it is bitwise too.
-  for (const QwScenario& s : QwScenarios()) {
-    if (s.model.kind() != WorkerModel::Kind::kConfusionMatrix) continue;
-    ExpectOverlayMatchesLegacy(s, QwMode::kExpected, /*pool=*/nullptr,
-                               /*expect_bitwise=*/true);
-  }
-}
-
-TEST(EstimateWorkerRowsIntoTest, ExpectedModeWpUsesExactClosedForm) {
-  // For WP models the expectation of the conditioned posterior over the
-  // predicted answer distribution is Qc_i itself (law of total
-  // probability). The overlay returns that closed form exactly; the legacy
-  // mixture only approaches it within rounding.
-  for (const QwScenario& s : QwScenarios()) {
-    if (s.model.kind() != WorkerModel::Kind::kWorkerProbability) continue;
-    const int n = 6;
-    const int l = s.model.num_labels();
-    const DistributionMatrix qc = MakeCurrent(n, l, /*salt=*/99);
-    const std::vector<QuestionIndex> candidates = {0, 2, 5};
-    const WorkerLikelihoods table = WorkerLikelihoods::FromModel(s.model);
-    QwOverlay overlay;
-    util::Rng rng(5);
-    EstimateWorkerRowsInto(qc, s.model, table, candidates, QwMode::kExpected,
-                           rng, &overlay);
-    for (QuestionIndex i : candidates) {
-      for (int j = 0; j < l; ++j) {
-        // Exactly the Qc row — not a tolerance.
-        EXPECT_EQ(overlay.Row(i)[j], qc.At(i, j)) << s.name << " i=" << i;
-      }
-    }
-    // And the legacy mixture agrees with the closed form to rounding.
-    ExpectOverlayMatchesLegacy(s, QwMode::kExpected, /*pool=*/nullptr,
-                               /*expect_bitwise=*/false);
+    ExpectOverlayMatchesLegacy(s, &pool);
   }
 }
 

@@ -110,7 +110,7 @@ TEST(PosteriorTest, PaperExample7SampledRow) {
   const int trials = 20000;
   for (int t = 0; t < trials; ++t) {
     std::vector<double> row =
-        EstimateWorkerRow(current, model, QwMode::kSampled, rng);
+        EstimateWorkerRow(current, model, rng);
     if (row[0] > 0.9) {
       EXPECT_NEAR(row[0], 12.0 / 13.0, 1e-9);  // 0.923
       ++high;
@@ -121,18 +121,63 @@ TEST(PosteriorTest, PaperExample7SampledRow) {
   EXPECT_NEAR(high / static_cast<double>(trials), 0.65, 0.01);
 }
 
-TEST(PosteriorTest, ExpectedModeIsDeterministicMixture) {
+// A distribution over `num_labels` labels with every weight bounded away
+// from zero.
+std::vector<double> RandomRow(int num_labels, util::Rng& rng) {
+  std::vector<double> weights(num_labels);
+  for (double& w : weights) w = rng.Uniform(0.01, 1.0);
+  double total = 0.0;
+  for (double w : weights) total += w;
+  for (double& w : weights) w /= total;
+  return weights;
+}
+
+TEST(PosteriorTest, ConditionedRowsAverageBackToCurrentRow) {
+  // Law of total probability over Eqs. 17-18: the conditioned rows, weighted
+  // by the predicted answer distribution P(a | D_i), average back to Qc_i.
+  // (This is why an "expected" Qw would equal Qc and zero every Accuracy*
+  // benefit.) Each label's conditioned row is reached through the sampled
+  // estimator with a variate inside that label's cumulative interval.
   util::Rng rng(8);
-  WorkerModel model = WorkerModel::Wp(0.75, 2);
-  std::vector<double> current = {0.8, 0.2};
-  std::vector<double> row =
-      EstimateWorkerRow(current, model, QwMode::kExpected, rng);
-  // 0.65 * [0.923, 0.077] + 0.35 * [0.571, 0.429].
-  EXPECT_NEAR(row[0], 0.65 * (12.0 / 13.0) + 0.35 * (4.0 / 7.0), 1e-9);
-  // Deterministic: a second call gives the same row.
-  std::vector<double> again =
-      EstimateWorkerRow(current, model, QwMode::kExpected, rng);
-  EXPECT_DOUBLE_EQ(row[0], again[0]);
+  for (int num_labels : {2, 3, 7}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      const std::vector<double> current = RandomRow(num_labels, rng);
+      const WorkerModel wp =
+          WorkerModel::Wp(rng.Uniform(0.3, 0.95), num_labels);
+      std::vector<double> matrix;
+      for (int truth = 0; truth < num_labels; ++truth) {
+        const std::vector<double> row = RandomRow(num_labels, rng);
+        matrix.insert(matrix.end(), row.begin(), row.end());
+      }
+      const WorkerModel cm = WorkerModel::Cm(matrix, num_labels);
+      for (const WorkerModel* model : {&wp, &cm}) {
+        std::vector<double> answer(num_labels, 0.0);
+        double total = 0.0;
+        for (int a = 0; a < num_labels; ++a) {
+          for (int t = 0; t < num_labels; ++t) {
+            answer[a] += model->AnswerProbability(a, t) * current[t];
+          }
+          total += answer[a];
+        }
+        std::vector<double> mixture(num_labels, 0.0);
+        double below = 0.0;
+        for (int a = 0; a < num_labels; ++a) {
+          const double u01 = (below + 0.5 * answer[a]) / total;
+          below += answer[a];
+          const std::vector<double> row =
+              EstimateWorkerRowAt(current, *model, u01);
+          for (int j = 0; j < num_labels; ++j) {
+            mixture[j] += answer[a] * row[j];
+          }
+        }
+        for (int j = 0; j < num_labels; ++j) {
+          EXPECT_NEAR(mixture[j], current[j], 1e-12)
+              << (model == &wp ? "wp" : "cm") << " l=" << num_labels
+              << " j=" << j;
+        }
+      }
+    }
+  }
 }
 
 TEST(PosteriorTest, PerfectWorkerYieldsOneHotRow) {
@@ -140,34 +185,31 @@ TEST(PosteriorTest, PerfectWorkerYieldsOneHotRow) {
   WorkerModel model = WorkerModel::PerfectWp(2);
   std::vector<double> current = {0.8, 0.2};
   std::vector<double> row =
-      EstimateWorkerRow(current, model, QwMode::kSampled, rng);
+      EstimateWorkerRow(current, model, rng);
   EXPECT_TRUE((row[0] == 1.0 && row[1] == 0.0) ||
               (row[0] == 0.0 && row[1] == 1.0));
 }
 
 TEST(PosteriorTest, WpFastPathMatchesExpandedCm) {
-  // EstimateWorkerRow special-cases WP models with a closed-form answer
+  // EstimateWorkerRowAt special-cases WP models with a closed-form answer
   // distribution; it must agree with the generic CM path on the expanded
-  // matrix. kExpected mode makes the comparison deterministic.
+  // matrix for every variate of a fixed grid.
   util::Rng rng(20);
+  constexpr int kGrid = 16;
   for (int num_labels : {2, 3, 7}) {
     for (int trial = 0; trial < 20; ++trial) {
-      std::vector<double> weights(num_labels);
-      for (double& w : weights) w = rng.Uniform(0.01, 1.0);
-      double total = 0.0;
-      for (double w : weights) total += w;
-      for (double& w : weights) w /= total;
-
+      const std::vector<double> weights = RandomRow(num_labels, rng);
       double m = rng.Uniform(0.3, 0.95);
       WorkerModel wp = WorkerModel::Wp(m, num_labels);
       WorkerModel cm = WorkerModel::Cm(wp.AsConfusionMatrix(), num_labels);
-      std::vector<double> via_wp =
-          EstimateWorkerRow(weights, wp, QwMode::kExpected, rng);
-      std::vector<double> via_cm =
-          EstimateWorkerRow(weights, cm, QwMode::kExpected, rng);
-      for (int j = 0; j < num_labels; ++j) {
-        EXPECT_NEAR(via_wp[j], via_cm[j], 1e-12)
-            << "l=" << num_labels << " j=" << j;
+      for (int g = 0; g < kGrid; ++g) {
+        const double u01 = (g + 0.5) / kGrid;
+        std::vector<double> via_wp = EstimateWorkerRowAt(weights, wp, u01);
+        std::vector<double> via_cm = EstimateWorkerRowAt(weights, cm, u01);
+        for (int j = 0; j < num_labels; ++j) {
+          EXPECT_NEAR(via_wp[j], via_cm[j], 1e-12)
+              << "l=" << num_labels << " u=" << u01 << " j=" << j;
+        }
       }
     }
   }
@@ -180,7 +222,7 @@ TEST(PosteriorTest, EstimateWorkerDistributionOnlyTouchesCandidates) {
   qc.SetRow(1, std::vector<double>{0.3, 0.7});
   WorkerModel model = WorkerModel::Wp(0.75, 2);
   DistributionMatrix qw =
-      EstimateWorkerDistribution(qc, model, {1, 3}, QwMode::kSampled, rng);
+      EstimateWorkerDistribution(qc, model, {1, 3}, rng);
   EXPECT_DOUBLE_EQ(qw.At(0, 0), 0.9);  // untouched
   EXPECT_NE(qw.At(1, 0), 0.3);         // conditioned
   EXPECT_TRUE(qw.IsNormalized());

@@ -65,9 +65,9 @@
 #      --provenance-out on the release build, then structural validation of
 #      the Chrome trace JSON (sorted ts, balanced B/E per tid, nested
 #      stages) and the provenance JSONL; then the benchmark of record
-#      (perfbench/run.py) on both gated workloads for 5 s each plus one
-#      traced serve_4app run, each of which must report "correct": true
-#      (decision hashes, fingerprints and scripted counts)
+#      (perfbench/run.py) on both gated workloads and pool_1e5 for 5 s
+#      each plus one traced serve_4app run, each of which must report
+#      "correct": true (decision hashes, fingerprints and scripted counts)
 #  13. telemetry-overhead smoke: disabled-telemetry instrumentation on a
 #      hot loop must cost < 2%; also drives the enabled+flight-recorder
 #      path (informational cost, recorder must capture events)
@@ -314,8 +314,10 @@ EOF
 # The benchmark of record (BENCHMARK.json) checks every decision hash,
 # state fingerprint and scripted count of its run and reports the verdict
 # as "correct" in the JSON result on its last stdout line. Short runs of
-# both gated workloads, plus one traced run (the per-layer replay ladder,
-# whose every rung must reproduce the decision hash), must all say true.
+# both gated workloads and of pool_1e5 (the only workload with a thread
+# pool and incremental refresh), plus one traced run (the per-layer replay
+# ladder, whose every rung must reproduce the decision hash), must all say
+# true.
 perfbench_correct() {
   local out
   out="$(python3 perfbench/run.py --workload "$1" --seconds 5 --trace "$2")" ||
@@ -332,6 +334,7 @@ sys.exit(0 if correct is True else 1)
 run perfbench_correct er_fscore 0
 run perfbench_correct serve_4app 0
 run perfbench_correct serve_4app 1
+run perfbench_correct pool_1e5 0
 stage_pass
 
 stage_begin "telemetry-overhead smoke (disabled instruments < 2%)"
