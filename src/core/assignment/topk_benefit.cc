@@ -132,43 +132,25 @@ AssignmentResult AssignTopKBenefitDecomposable(
 AssignmentResult AssignTopKBenefit(const AssignmentRequest& request) {
   ValidateRequest(request);
   // Accuracy row quality = max cell of the row (Eq. 12's max over labels).
-  // The dispatch is hoisted to one RowMax pointer per scan, current rows
-  // are read straight off the dense matrix, and when the Qw estimation
-  // fused the row maxima into the overlay's quality channel the estimated
-  // quality is a single contiguous load per candidate instead of a row
-  // reduction.
+  // Current rows are read straight off the dense matrix, and when the Qw
+  // estimation fused the row maxima into the overlay's quality channel the
+  // estimated quality is a single contiguous load per candidate instead of
+  // a row reduction.
   const DistributionMatrix& current = *request.current;
-  const kernels::RowMaxFn row_max = kernels::ActiveRowMax();
   const int num_labels = current.num_labels();
   const double* current_base = current.Row(0).data();
   const QwOverlay* overlay = request.overlay;
   const bool fused_qualities = overlay != nullptr && overlay->has_qualities();
-  if (num_labels == 2) {
-    // Binary labels (every golden workload): the row max is one compare,
-    // inlined instead of an indirect kernel call per candidate. Identical
-    // value to RowMax — max is order-insensitive over NaN-free rows.
-    return ScanTopKBenefit(
-        request,
-        [&, fused_qualities](QuestionIndex i) {
-          if (fused_qualities) return overlay->Quality(i);
-          const std::span<const double> row = request.EstimatedRow(i);
-          return row[0] < row[1] ? row[1] : row[0];
-        },
-        [&](QuestionIndex i) {
-          const double* row = current_base + static_cast<size_t>(i) * 2;
-          return row[0] < row[1] ? row[1] : row[0];
-        });
-  }
   return ScanTopKBenefit(
       request,
       [&, fused_qualities](QuestionIndex i) {
         if (fused_qualities) return overlay->Quality(i);
         const std::span<const double> row = request.EstimatedRow(i);
-        return row_max(row.data(), static_cast<int>(row.size()));
+        return kernels::RowMax(row.data(), static_cast<int>(row.size()));
       },
       [&](QuestionIndex i) {
-        return row_max(current_base + static_cast<size_t>(i) * num_labels,
-                       num_labels);
+        return kernels::RowMax(
+            current_base + static_cast<size_t>(i) * num_labels, num_labels);
       });
 }
 

@@ -331,7 +331,6 @@ class Refit {
   // (the convergence test); with DCHECKs on, also keeps each row's
   // marginal likelihood for the objective check.
   double EStep(const std::vector<double>& prior) {
-    const bool plain = l_ <= kPlainRowMaxLabels;
     double* row = row_.data();
     double max_change = 0.0;
     for (int i = 0; i < n_; ++i) {
@@ -340,11 +339,7 @@ class Refit {
       for (const Answer& answer : answers_[static_cast<size_t>(i)]) {
         const double* likelihood = Table(static_cast<size_t>(*slot++)) +
                                    static_cast<size_t>(answer.label) * l_;
-        if (plain) {
-          for (int j = 0; j < l_; ++j) row[j] *= likelihood[j];
-        } else {
-          kernels::MulRowInPlace(row, likelihood, l_);
-        }
+        kernels::MulRowInPlace(row, likelihood, l_);
       }
       const double marginal = NormalizePosteriorRow(row, l_);
       QASCA_DCHECK_OK(invariants::CheckDistributionRow(

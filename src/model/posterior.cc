@@ -179,8 +179,6 @@ void EstimateWorkerRowsInto(const DistributionMatrix& current,
   if (telemetry != nullptr) {
     telemetry->GetCounter(util::tnames::kQwSamplesDrawn)
         ->Add(static_cast<int64_t>(count));
-    telemetry->GetCounter(util::tnames::kQwOverlayRows)
-        ->Add(static_cast<int64_t>(count));
   }
 
   // Same base-draw discipline as EstimateWorkerDistribution: exactly one
@@ -213,7 +211,7 @@ void EstimateWorkerRowsInto(const DistributionMatrix& current,
 
   // Fused batch kernel (kernels::SampledQwRows): answer distribution,
   // per-candidate SplitMix64 variate, weighted draw, conditioning and
-  // normalisation in one dispatch per chunk. Overlay slots are
+  // normalisation in one call per chunk. Overlay slots are
   // slot-contiguous per chunk (slot == candidate position), so the chunk
   // writes one dense [cb, ce) block of rows — and of fused row maxima.
   const double* qc_base = current.Row(0).data();

@@ -11,20 +11,11 @@
 #include "core/types.h"
 #include "model/likelihood_cache.h"
 #include "model/worker_model.h"
-#include "util/fold.h"
 #include "util/rng.h"
 #include "util/telemetry.h"
 #include "util/thread_pool.h"
 
 namespace qasca {
-
-/// Rows of up to this many labels are multiplied, summed and divided with
-/// plain loops rather than dispatched kernels. There the 4-lane
-/// kernels::RowSum schedule is a strict left-to-right sum, and MulRow /
-/// DivRow are exact elementwise operations, so the loops give the kernels'
-/// bits on every ISA. Each loop only multiplies, only adds or only divides:
-/// nothing a compiler could contract into a fused multiply-add.
-inline constexpr int kPlainRowMaxLabels = 4;
 
 /// Scales the `num_labels` weights at `row` to sum to one and returns the
 /// pre-normalisation total (for a posterior row, the marginal likelihood of
@@ -33,20 +24,12 @@ inline constexpr int kPlainRowMaxLabels = 4;
 /// uniform rather than abort: the data is inconsistent with the model, not
 /// with the caller. Every posterior and Qw row is normalised here.
 inline double NormalizePosteriorRow(double* row, int num_labels) {
-  const bool plain = num_labels <= kPlainRowMaxLabels;
-  const double total =
-      plain ? util::DeterministicSum(0, num_labels,
-                                     [row](int j) { return row[j]; })
-            : kernels::RowSum(row, num_labels);
+  const double total = kernels::RowSum(row, num_labels);
   if (total <= 0.0) {
     std::fill(row, row + num_labels, 1.0 / static_cast<double>(num_labels));
     return total;
   }
-  if (plain) {
-    for (int j = 0; j < num_labels; ++j) row[j] /= total;
-  } else {
-    kernels::DivRow(row, num_labels, total);
-  }
+  kernels::DivRow(row, num_labels, total);
   return total;
 }
 
@@ -142,14 +125,15 @@ DistributionMatrix EstimateWorkerDistribution(
 /// rows into `overlay` (reusable per-strategy scratch; reads of other rows
 /// fall through to `current` via AssignmentRequest::EstimatedRow) and runs
 /// the answer-distribution / posterior-weight inner loops through the
-/// runtime-dispatched kernels with zero per-candidate allocations.
+/// row kernels (core/kernels/kernels.h) with zero per-candidate
+/// allocations.
 /// `likelihoods` must be the transposed table for `model` (from the
 /// engine's LikelihoodCache).
 ///
 /// Same randomness contract as EstimateWorkerDistribution, and bit-identical
 /// overlay rows: for every candidate i, overlay->Row(i) holds exactly the
-/// doubles EstimateWorkerDistribution's row i would hold — the kernel
-/// equivalence suite pins this across every ISA. `mode` is always
+/// doubles EstimateWorkerDistribution's row i would hold
+/// (EstimateWorkerRowsIntoTest pins this). `mode` is always
 /// QwMode::kSampled (see QwMode for why the parameter stays).
 /// When `fuse_row_max` is set, the overlay's quality channel is armed and
 /// each materialised row's maximum — the Accuracy* row quality — is written

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <optional>
 
-#include "core/kernels/kernels.h"
 #include "model/posterior.h"
 #include "util/invariants.h"
 #include "util/logging.h"
@@ -92,7 +91,6 @@ util::StatusOr<AssignmentCore::Decision> AssignmentCore::Decide(
     provenance->likelihood_cache_hit =
         likelihood_cache_.hits() > cache_hits_before;
     provenance->em_generation = static_cast<uint64_t>(full_em_refits_);
-    provenance->kernel_isa = static_cast<int>(kernels::ActiveIsa());
   }
   return decision;
 }

@@ -62,7 +62,7 @@ class AssignmentCore {
   /// no core state changes except the RNG stream the strategy draws from.
   /// When `provenance` is non-null the strategy fills its selection scores
   /// and the core fills the decision-input fields (candidate count,
-  /// cache-hit bit, EM generation, kernel ISA).
+  /// cache-hit bit, EM generation).
   QASCA_NODISCARD
   util::StatusOr<Decision> Decide(WorkerId worker,
                                   DecisionProvenance* provenance);

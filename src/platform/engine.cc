@@ -6,7 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "core/kernels/kernels.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
 #include "util/stats.h"
@@ -105,14 +104,6 @@ TaskAssignmentEngine::TaskAssignmentEngine(
   instruments_.open_hits = telemetry_.GetGauge(util::tnames::kOpenHits);
   instruments_.remaining_hits =
       telemetry_.GetGauge(util::tnames::kRemainingHits);
-  // Which SIMD tier the runtime dispatcher selected (cpuid-detected, or the
-  // QASCA_KERNEL_ISA override) — exported as the numeric kernels::Isa value.
-  // The span makes the one-time dispatch resolution visible in traces.
-  {
-    util::Span isa_span(&telemetry_, util::tnames::kSpanKernelDispatch);
-    telemetry_.GetGauge(util::tnames::kKernelIsa)
-        ->Set(static_cast<double>(static_cast<int>(kernels::ActiveIsa())));
-  }
 }
 
 util::StatusOr<std::vector<QuestionIndex>> TaskAssignmentEngine::RequestHit(

@@ -5,7 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "core/kernels/kernels.h"
 #include "util/json.h"
 #include "util/logging.h"
 
@@ -143,11 +142,6 @@ void AppendRecordJson(std::string& out, const DecisionProvenance& record) {
   out += record.likelihood_cache_hit ? "true" : "false";
   out += ",\"em_generation\":";
   out += std::to_string(record.em_generation);
-  out += ",\"kernel_isa\":";
-  out += std::to_string(record.kernel_isa);
-  out += ",\"kernel_isa_name\":";
-  util::AppendJsonString(
-      out, kernels::IsaName(static_cast<kernels::Isa>(record.kernel_isa)));
   out += ",\"journal_seq\":";
   out += std::to_string(record.journal_seq);
   out += ",\"ticks\":";
@@ -174,7 +168,6 @@ util::Status ParseRecord(std::string_view line, DecisionProvenance* record) {
       ParseBool(line, "cache_hit", &record->likelihood_cache_hit));
   QASCA_RETURN_IF_ERROR(
       ParseU64(line, "em_generation", &record->em_generation));
-  QASCA_RETURN_IF_ERROR(ParseInt(line, "kernel_isa", &record->kernel_isa));
   QASCA_RETURN_IF_ERROR(
       ParseU64(line, "journal_seq", &record->journal_seq));
   QASCA_RETURN_IF_ERROR(ParseU64(line, "ticks", &record->now_ticks));

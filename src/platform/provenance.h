@@ -14,10 +14,10 @@ namespace qasca {
 
 /// Why one HIT was assigned: the chosen questions with the benefit scores
 /// that ranked them, the optimizer's diagnostics, and the engine state the
-/// decision was made under (kernel ISA, cache usage, EM generation,
-/// lease/journal sequencing). One record per successful RequestHit,
-/// appended to the engine's ProvenanceLog and dumpable as JSONL for audit
-/// and offline regret analysis (DESIGN.md §13).
+/// decision was made under (cache usage, EM generation, lease/journal
+/// sequencing). One record per successful RequestHit, appended to the
+/// engine's ProvenanceLog and dumpable as JSONL for audit and offline
+/// regret analysis (DESIGN.md §13).
 ///
 /// All timing fields are virtual (engine ticks / journal sequence numbers)
 /// — never wall-clock — so records replay bit-identically through crash
@@ -52,9 +52,6 @@ struct DecisionProvenance {
   bool likelihood_cache_hit = false;
   /// Full-EM-refit generation the decision saw (Qc posterior vintage).
   uint64_t em_generation = 0;
-  /// Numeric kernels::Isa the benefit/Qw kernels ran under (stable ints:
-  /// 0 = scalar, 1 = sse2, 2 = avx2).
-  int kernel_isa = 0;
   /// Index of the journal event recording this assignment (0 when the
   /// engine runs without persistence).
   uint64_t journal_seq = 0;

@@ -27,10 +27,9 @@ inline constexpr char kSpanIncrementalRefresh[] = "incremental_refresh";
 inline constexpr char kSpanTopkScan[] = "topk_scan";
 inline constexpr char kSpanFscoreOnline[] = "fscore_online";
 inline constexpr char kSpanDinkelbachInner[] = "dinkelbach_inner";
-// Assignment-kernel overhaul stages (DESIGN.md §12): one-time runtime ISA
-// resolution, candidate-row materialisation into the Qw overlay, and the
-// fused SampledQwRows batch over all candidate chunks.
-inline constexpr char kSpanKernelDispatch[] = "kernel_dispatch";
+// Assignment-kernel stages (DESIGN.md §12): candidate-row materialisation
+// into the Qw overlay, and the fused SampledQwRows batch over all candidate
+// chunks.
 inline constexpr char kSpanQwOverlayFill[] = "qw_overlay_fill";
 inline constexpr char kSpanQwSampledBatch[] = "qw_sampled_batch";
 // Serving layer (DESIGN.md §14): one span per request batch, amortising the
@@ -44,12 +43,10 @@ inline constexpr char kEmFullRefits[] = "em.full_refits";
 inline constexpr char kEmIncrementalRefreshes[] = "em.incremental_refreshes";
 inline constexpr char kEmIterations[] = "em.iterations";
 inline constexpr char kQwSamplesDrawn[] = "qw.samples_drawn";
-// Assignment-kernel overhaul (DESIGN.md §12): per-worker likelihood-table
-// cache hits/misses and candidate rows materialised into the Qw overlay.
+// Per-worker likelihood-table cache hits/misses (DESIGN.md §12).
 inline constexpr char kQwLikelihoodCacheHits[] = "qw.likelihood_cache_hits";
 inline constexpr char kQwLikelihoodCacheMisses[] =
     "qw.likelihood_cache_misses";
-inline constexpr char kQwOverlayRows[] = "qw.overlay_rows";
 inline constexpr char kTopkCandidatesScanned[] = "topk.candidates_scanned";
 inline constexpr char kDinkelbachOuterIterations[] =
     "dinkelbach.outer_iterations";
@@ -87,10 +84,6 @@ inline constexpr char kWindowAssignHit[] = "assign_hit.window";
 inline constexpr char kOpenHits[] = "engine.open_hits";
 inline constexpr char kRemainingHits[] = "engine.remaining_hits";
 inline constexpr char kLastRefreshDrift[] = "em.last_refresh_drift";
-// Active kernel ISA as the numeric kernels::Isa value (0 = scalar,
-// 1 = sse2, 2 = avx2); gauges are numeric, so the bench JSON carries the
-// name string alongside.
-inline constexpr char kKernelIsa[] = "kernel.isa";
 // Current sliding-window p95 of assign_hit in milliseconds, published by
 // the SloTracker after every sample.
 inline constexpr char kSloAssignWindowP95Ms[] =

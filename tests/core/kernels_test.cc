@@ -14,8 +14,6 @@
 namespace qasca {
 namespace {
 
-using kernels::Isa;
-
 // Deterministic positive test data: reproducible on any host, strictly
 // positive (the kernels serve probability rows) and irregular enough that a
 // wrong fold order or a fused multiply-add changes at least one bit.
@@ -33,27 +31,8 @@ std::vector<double> TestRow(int n, uint64_t salt) {
   return row;
 }
 
-std::vector<Isa> SupportedIsas() {
-  std::vector<Isa> isas;
-  for (Isa isa : {Isa::kScalar, Isa::kSse2, Isa::kAvx2}) {
-    if (kernels::IsaSupported(isa)) isas.push_back(isa);
-  }
-  return isas;
-}
-
-// Restores the dispatch the rest of the binary resolved, whatever a test
-// repointed it to.
-class IsaGuard {
- public:
-  IsaGuard() : saved_(kernels::ActiveIsa()) {}
-  ~IsaGuard() { kernels::SetIsaForTesting(saved_); }
-
- private:
-  Isa saved_;
-};
-
-// The sizes swept by every equivalence test: all the remainder classes of
-// the 4-lane schedule plus a few cache-line-straddling lengths.
+// The sizes swept by the schedule tests: all the remainder classes of the
+// 4-lane schedule plus a few cache-line-straddling lengths.
 std::vector<int> TestSizes() {
   std::vector<int> sizes;
   for (int n = 1; n <= 19; ++n) sizes.push_back(n);
@@ -61,47 +40,12 @@ std::vector<int> TestSizes() {
   return sizes;
 }
 
-TEST(KernelDispatchTest, ScalarAlwaysSupported) {
-  EXPECT_TRUE(kernels::IsaSupported(Isa::kScalar));
-  EXPECT_TRUE(kernels::IsaSupported(kernels::ActiveIsa()));
-}
-
-TEST(KernelDispatchTest, IsaNamesAreStable) {
-  EXPECT_STREQ(kernels::IsaName(Isa::kScalar), "scalar");
-  EXPECT_STREQ(kernels::IsaName(Isa::kSse2), "sse2");
-  EXPECT_STREQ(kernels::IsaName(Isa::kAvx2), "avx2");
-}
-
-TEST(KernelDispatchTest, SetIsaForTestingRepointsDispatch) {
-  IsaGuard guard;
-  for (Isa isa : SupportedIsas()) {
-    kernels::SetIsaForTesting(isa);
-    EXPECT_EQ(kernels::ActiveIsa(), isa);
-  }
-}
-
-// The bit-identity contract (kernels.h): every ISA path returns the exact
-// doubles the scalar path returns, for every kernel and every size. All
-// comparisons below are EXPECT_EQ on doubles — exact equality, never NEAR.
-TEST(KernelEquivalenceTest, RowSumBitIdenticalAcrossIsas) {
-  IsaGuard guard;
-  for (int n : TestSizes()) {
-    const std::vector<double> x = TestRow(n, /*salt=*/static_cast<uint64_t>(n));
-    kernels::SetIsaForTesting(Isa::kScalar);
-    const double reference = kernels::RowSum(x.data(), n);
-    for (Isa isa : SupportedIsas()) {
-      kernels::SetIsaForTesting(isa);
-      EXPECT_EQ(kernels::RowSum(x.data(), n), reference)
-          << "n=" << n << " isa=" << kernels::IsaName(isa);
-    }
-  }
-}
-
+// The kernels' bit-level contract (kernels.h). All comparisons below are
+// EXPECT_EQ on doubles — exact equality, never NEAR.
 TEST(KernelEquivalenceTest, RowSumMatchesFourLaneSchedule) {
   // The schedule is part of the contract, not an implementation detail:
   // acc[i % 4] += x[i] over full 4-blocks, merged ((acc0+acc1)+acc2)+acc3,
   // then a left-to-right tail.
-  IsaGuard guard;
   for (int n : TestSizes()) {
     const std::vector<double> x = TestRow(n, /*salt=*/91u + n);
     double acc[4] = {0.0, 0.0, 0.0, 0.0};
@@ -109,103 +53,64 @@ TEST(KernelEquivalenceTest, RowSumMatchesFourLaneSchedule) {
     for (int i = 0; i < main; ++i) acc[i % 4] += x[static_cast<size_t>(i)];
     double expected = ((acc[0] + acc[1]) + acc[2]) + acc[3];
     for (int i = main; i < n; ++i) expected += x[static_cast<size_t>(i)];
-    for (Isa isa : SupportedIsas()) {
-      kernels::SetIsaForTesting(isa);
-      EXPECT_EQ(kernels::RowSum(x.data(), n), expected)
-          << "n=" << n << " isa=" << kernels::IsaName(isa);
-    }
+    EXPECT_EQ(kernels::RowSum(x.data(), n), expected) << "n=" << n;
   }
 }
 
 TEST(KernelEquivalenceTest, RowSumEqualsDeterministicSumForShortRows) {
   // For n <= 4 the schedule degenerates to a strict left-to-right sum, so
   // label rows of golden-trace width (l = 2) keep their historical value.
-  IsaGuard guard;
   for (int n = 1; n <= 4; ++n) {
     const std::vector<double> x = TestRow(n, /*salt=*/300u + n);
     const double serial = util::DeterministicSum(
         0, n, [&](int i) { return x[static_cast<size_t>(i)]; });
-    for (Isa isa : SupportedIsas()) {
-      kernels::SetIsaForTesting(isa);
-      EXPECT_EQ(kernels::RowSum(x.data(), n), serial) << "n=" << n;
-    }
+    EXPECT_EQ(kernels::RowSum(x.data(), n), serial) << "n=" << n;
   }
 }
 
 TEST(KernelEquivalenceTest, RowMaxMatchesStdMaxElement) {
-  IsaGuard guard;
   for (int n : TestSizes()) {
     const std::vector<double> x = TestRow(n, /*salt=*/700u + n);
     const double reference = *std::max_element(x.begin(), x.end());
-    for (Isa isa : SupportedIsas()) {
-      kernels::SetIsaForTesting(isa);
-      EXPECT_EQ(kernels::RowMax(x.data(), n), reference)
-          << "n=" << n << " isa=" << kernels::IsaName(isa);
-    }
-  }
-}
-
-TEST(KernelEquivalenceTest, ElementwiseKernelsBitIdenticalAcrossIsas) {
-  // MulRow / MulRowInPlace / DivRow / WpAnswerDistribution are
-  // exact per IEEE-754: each lane is the same correctly-rounded expression
-  // as the scalar loop, with contraction disabled. So every ISA must agree
-  // with the scalar path bit-for-bit on every element.
-  IsaGuard guard;
-  for (int n : TestSizes()) {
-    const std::vector<double> a = TestRow(n, /*salt=*/1000u + n);
-    const std::vector<double> b = TestRow(n, /*salt=*/2000u + n);
-    const double divisor = 0.37 + 0.01 * n;
-    const double m = 0.81;
-    const double off = (1.0 - m) / 3.0;
-
-    std::vector<double> mul_ref(a.size()), wp_ref(a.size());
-    std::vector<double> div_ref(a), mulin_ref(a);
-    kernels::SetIsaForTesting(Isa::kScalar);
-    kernels::MulRow(mul_ref.data(), a.data(), b.data(), n);
-    kernels::MulRowInPlace(mulin_ref.data(), b.data(), n);
-    kernels::DivRow(div_ref.data(), n, divisor);
-    kernels::WpAnswerDistribution(a.data(), n, m, off, wp_ref.data());
-
-    for (Isa isa : SupportedIsas()) {
-      kernels::SetIsaForTesting(isa);
-      std::vector<double> mul(a.size()), wp(a.size());
-      std::vector<double> div(a), mulin(a);
-      kernels::MulRow(mul.data(), a.data(), b.data(), n);
-      kernels::MulRowInPlace(mulin.data(), b.data(), n);
-      kernels::DivRow(div.data(), n, divisor);
-      kernels::WpAnswerDistribution(a.data(), n, m, off, wp.data());
-      const char* name = kernels::IsaName(isa);
-      EXPECT_EQ(mul, mul_ref) << "MulRow n=" << n << " isa=" << name;
-      EXPECT_EQ(mulin, mulin_ref) << "MulRowInPlace n=" << n << " " << name;
-      EXPECT_EQ(div, div_ref) << "DivRow n=" << n << " isa=" << name;
-      EXPECT_EQ(wp, wp_ref) << "WpAnswerDistribution n=" << n << " " << name;
-    }
+    EXPECT_EQ(kernels::RowMax(x.data(), n), reference) << "n=" << n;
   }
 }
 
 TEST(KernelEquivalenceTest, ElementwiseKernelsMatchScalarExpressions) {
-  // And the scalar expressions themselves are pinned: out = a*b, in /= d
-  // (true division).
-  for (int n : {1, 2, 3, 4, 7, 16, 33}) {
+  // Each element is one correctly-rounded expression: out = a*b, in *= b,
+  // in /= d (true division, not a reciprocal multiply), and the WP answer
+  // distribution m*r + off*(1-r) with its products and sum rounded
+  // separately (no fused multiply-add).
+  for (int n : TestSizes()) {
     const std::vector<double> a = TestRow(n, /*salt=*/4000u + n);
     const std::vector<double> b = TestRow(n, /*salt=*/5000u + n);
-    const double divisor = 1.7;
-    std::vector<double> mul(a.size()), div(a);
+    const double divisor = 0.37 + 0.01 * n;
+    const double m = 0.81;
+    const double off = (1.0 - m) / 3.0;
+    std::vector<double> mul(a.size()), wp(a.size());
+    std::vector<double> div(a), mulin(a);
     kernels::MulRow(mul.data(), a.data(), b.data(), n);
+    kernels::MulRowInPlace(mulin.data(), b.data(), n);
     kernels::DivRow(div.data(), n, divisor);
+    kernels::WpAnswerDistribution(a.data(), n, m, off, wp.data());
     for (int i = 0; i < n; ++i) {
       const size_t s = static_cast<size_t>(i);
-      EXPECT_EQ(mul[s], a[s] * b[s]);
-      EXPECT_EQ(div[s], a[s] / divisor);
+      EXPECT_EQ(mul[s], a[s] * b[s]) << "MulRow n=" << n << " i=" << i;
+      EXPECT_EQ(mulin[s], a[s] * b[s]) << "MulRowInPlace n=" << n;
+      EXPECT_EQ(div[s], a[s] / divisor) << "DivRow n=" << n << " i=" << i;
+      // volatile rounds each product to a double before the add, whatever
+      // this test TU's own contraction setting.
+      const volatile double kept = m * a[s];
+      const volatile double dropped = off * (1.0 - a[s]);
+      EXPECT_EQ(wp[s], kept + dropped) << "WpAnswerDistribution n=" << n;
     }
   }
 }
 
 TEST(KernelEquivalenceTest, CmAnswerDistributionAscendingTruthOrder) {
   // Each output lane accumulates cm[truth][answered] * row[truth] in
-  // ascending-truth order on every ISA — the exact order the legacy
-  // answered-major loop produced.
-  IsaGuard guard;
+  // ascending-truth order — the exact order the legacy answered-major loop
+  // produced.
   for (int l : {2, 3, 4, 5, 8}) {
     const std::vector<double> cm =
         TestRow(l * l, /*salt=*/6000u + static_cast<uint64_t>(l));
@@ -218,13 +123,9 @@ TEST(KernelEquivalenceTest, CmAnswerDistributionAscendingTruthOrder) {
             row[static_cast<size_t>(truth)];
       }
     }
-    for (Isa isa : SupportedIsas()) {
-      kernels::SetIsaForTesting(isa);
-      std::vector<double> out(static_cast<size_t>(l));
-      kernels::CmAnswerDistribution(cm.data(), row.data(), l, out.data());
-      EXPECT_EQ(out, expected) << "l=" << l
-                               << " isa=" << kernels::IsaName(isa);
-    }
+    std::vector<double> out(static_cast<size_t>(l));
+    kernels::CmAnswerDistribution(cm.data(), row.data(), l, out.data());
+    EXPECT_EQ(out, expected) << "l=" << l;
   }
 }
 
@@ -319,10 +220,8 @@ TEST(QwOverlayTest, QualityChannelArmsPerEpoch) {
 // util::SampleWeightedAt on a SplitMix64 variate derived from
 // (base, question), MulRow conditioning, RowSum/DivRow normalisation with
 // the 1/n fallback. Bit-equal rows, samples and fused maxima, for the
-// inlined l == 2 fast path and the table-composed general path, WP and CM
-// shapes, on every supported ISA.
+// inlined l == 2 path and the composed general path, WP and CM shapes.
 TEST(KernelEquivalenceTest, SampledQwRowsMatchesComposedPipeline) {
-  IsaGuard guard;
   const uint64_t base = 0x5eedf00dcafe1234ull;
   for (int l : {2, 3, 5}) {
     // A small "matrix" of n questions by l labels, rows normalised.
@@ -344,9 +243,7 @@ TEST(KernelEquivalenceTest, SampledQwRowsMatchesComposedPipeline) {
     const int rows = static_cast<int>(candidates.size());
 
     for (bool wp : {true, false}) {
-      // Reference: the unfused composition, computed once with the scalar
-      // dispatch active (kernels are ISA-bit-identical, so any choice works).
-      kernels::SetIsaForTesting(Isa::kScalar);
+      // Reference: the unfused composition.
       std::vector<double> want(static_cast<size_t>(rows) * l);
       std::vector<double> want_max(static_cast<size_t>(rows));
       std::vector<double> dist(static_cast<size_t>(l));
@@ -373,48 +270,28 @@ TEST(KernelEquivalenceTest, SampledQwRowsMatchesComposedPipeline) {
         want_max[static_cast<size_t>(c)] = kernels::RowMax(out, l);
       }
 
-      for (Isa isa : SupportedIsas()) {
-        kernels::SetIsaForTesting(isa);
-        std::vector<double> got(static_cast<size_t>(rows) * l, -1.0);
-        std::vector<double> got_max(static_cast<size_t>(rows), -1.0);
-        std::vector<double> scratch(static_cast<size_t>(l));
-        kernels::SampledQwRows(qc.data(), l, candidates.data(), rows, base,
-                               wp_m, wp_off, wp ? nullptr : cm.data(),
-                               lik.data(), got.data(), got_max.data(),
-                               scratch.data());
-        for (size_t x = 0; x < got.size(); ++x) {
-          EXPECT_EQ(got[x], want[x])
-              << "l=" << l << " wp=" << wp << " isa=" << kernels::IsaName(isa)
-              << " cell " << x;
-        }
-        for (size_t c = 0; c < got_max.size(); ++c) {
-          EXPECT_EQ(got_max[c], want_max[c])
-              << "l=" << l << " wp=" << wp << " isa=" << kernels::IsaName(isa)
-              << " row " << c;
-        }
-        // row_max == nullptr must be accepted (non-Accuracy* callers).
-        kernels::SampledQwRows(qc.data(), l, candidates.data(), rows, base,
-                               wp_m, wp_off, wp ? nullptr : cm.data(),
-                               lik.data(), got.data(), nullptr,
-                               scratch.data());
-        for (size_t x = 0; x < got.size(); ++x) {
-          ASSERT_EQ(got[x], want[x]);
-        }
+      std::vector<double> got(static_cast<size_t>(rows) * l, -1.0);
+      std::vector<double> got_max(static_cast<size_t>(rows), -1.0);
+      std::vector<double> scratch(static_cast<size_t>(l));
+      kernels::SampledQwRows(qc.data(), l, candidates.data(), rows, base, wp_m,
+                             wp_off, wp ? nullptr : cm.data(), lik.data(),
+                             got.data(), got_max.data(), scratch.data());
+      for (size_t x = 0; x < got.size(); ++x) {
+        EXPECT_EQ(got[x], want[x])
+            << "l=" << l << " wp=" << wp << " cell " << x;
+      }
+      for (size_t c = 0; c < got_max.size(); ++c) {
+        EXPECT_EQ(got_max[c], want_max[c])
+            << "l=" << l << " wp=" << wp << " row " << c;
+      }
+      // row_max == nullptr must be accepted (non-Accuracy* callers).
+      kernels::SampledQwRows(qc.data(), l, candidates.data(), rows, base, wp_m,
+                             wp_off, wp ? nullptr : cm.data(), lik.data(),
+                             got.data(), nullptr, scratch.data());
+      for (size_t x = 0; x < got.size(); ++x) {
+        ASSERT_EQ(got[x], want[x]);
       }
     }
-  }
-}
-
-TEST(KernelDispatchTest, ActiveRowMaxTracksDispatch) {
-  IsaGuard guard;
-  const std::vector<double> row = TestRow(9, /*salt=*/5u);
-  for (Isa isa : SupportedIsas()) {
-    kernels::SetIsaForTesting(isa);
-    const kernels::RowMaxFn fn = kernels::ActiveRowMax();
-    ASSERT_NE(fn, nullptr);
-    EXPECT_EQ(fn(row.data(), static_cast<int>(row.size())),
-              kernels::RowMax(row.data(), static_cast<int>(row.size())))
-        << kernels::IsaName(isa);
   }
 }
 

@@ -6,7 +6,6 @@
 
 #include "core/assignment/qw_overlay.h"
 #include "core/distribution_matrix.h"
-#include "core/kernels/kernels.h"
 #include "model/posterior.h"
 #include "model/worker_model.h"
 #include "util/rng.h"
@@ -166,43 +165,6 @@ TEST(EstimateWorkerRowsIntoTest, SampledModeBitwiseMatchesLegacyThreaded) {
   for (const QwScenario& s : QwScenarios()) {
     ExpectOverlayMatchesLegacy(s, &pool);
   }
-}
-
-TEST(EstimateWorkerRowsIntoTest, BitwiseStableAcrossIsas) {
-  // The full Qw pipeline — answer distribution, sampling, conditioning,
-  // normalisation — returns identical rows under every kernel ISA.
-  const kernels::Isa saved = kernels::ActiveIsa();
-  for (const QwScenario& s : QwScenarios()) {
-    const int n = 10;
-    const int l = s.model.num_labels();
-    const DistributionMatrix qc = MakeCurrent(n, l, /*salt=*/17);
-    const std::vector<QuestionIndex> candidates = {0, 1, 4, 7, 9};
-    const WorkerLikelihoods table = WorkerLikelihoods::FromModel(s.model);
-
-    std::vector<std::vector<double>> reference;
-    bool have_reference = false;
-    for (kernels::Isa isa :
-         {kernels::Isa::kScalar, kernels::Isa::kSse2, kernels::Isa::kAvx2}) {
-      if (!kernels::IsaSupported(isa)) continue;
-      kernels::SetIsaForTesting(isa);
-      QwOverlay overlay;
-      util::Rng rng(88);
-      EstimateWorkerRowsInto(qc, s.model, table, candidates, QwMode::kSampled,
-                             rng, &overlay);
-      std::vector<std::vector<double>> rows;
-      for (QuestionIndex i : candidates) {
-        rows.emplace_back(overlay.Row(i).begin(), overlay.Row(i).end());
-      }
-      if (!have_reference) {
-        reference = rows;
-        have_reference = true;
-      } else {
-        EXPECT_EQ(rows, reference)
-            << s.name << " isa=" << kernels::IsaName(isa);
-      }
-    }
-  }
-  kernels::SetIsaForTesting(saved);
 }
 
 }  // namespace

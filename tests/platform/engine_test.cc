@@ -1,14 +1,17 @@
 #include "platform/engine.h"
 
+#include <cstdint>
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "baselines/random_strategy.h"
 #include "platform/qasca_strategy.h"
+#include "util/telemetry_names.h"
 
 namespace qasca {
 namespace {
@@ -247,6 +250,63 @@ TEST(EngineTest, TypicalWorkerIsBuiltOnlyForStrategiesThatReadIt) {
     ASSERT_EQ(engine.ServeRequestBatch({3, 4}).size(), 2u);
     EXPECT_EQ(seen, std::vector<bool>(4, reads)) << "reads=" << reads;
   }
+}
+
+int64_t CounterValue(const TaskAssignmentEngine& engine,
+                     std::string_view name) {
+  for (const util::CounterSnapshot& c : engine.TelemetrySnapshot().counters) {
+    if (c.name == name) return c.value;
+  }
+  return -1;  // instrument not present
+}
+
+TEST(EngineTest, CacheTelemetryShowsHitsAndInvalidation) {
+  AppConfig config;
+  config.name = "cache-telemetry";
+  config.num_questions = 36;
+  config.num_labels = 2;
+  config.questions_per_hit = 3;
+  config.pay_per_hit = 0.02;
+  config.budget = 0.02 * 20;  // 20 HITs
+  config.metric = MetricSpec::Accuracy();
+  config.worker_kind = WorkerModel::Kind::kConfusionMatrix;
+  config.em.max_iterations = 15;
+  config.em_refresh_interval = 3;
+  config.telemetry_enabled = true;
+  TaskAssignmentEngine engine(config, std::make_unique<QascaStrategy>(),
+                              /*seed=*/7);
+  int round = 0;
+  while (!engine.BudgetExhausted()) {
+    const WorkerId worker = round++ % 6;
+    auto hit = engine.RequestHit(worker);
+    ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+    // A deterministic answer per (worker, question), wrong for about 25%
+    // of the pairs, so the workers' fitted models differ.
+    std::vector<LabelIndex> labels;
+    for (QuestionIndex q : *hit) {
+      uint64_t h = (static_cast<uint64_t>(worker) * 1000003u +
+                    static_cast<uint64_t>(q) + 1) *
+                   0x9e3779b97f4a7c15ull;
+      h ^= h >> 31;
+      h *= 0xbf58476d1ce4e5b9ull;
+      h ^= h >> 27;
+      labels.push_back((q + (h % 100 < 25 ? 1 : 0)) % 2);
+    }
+    ASSERT_TRUE(engine.CompleteHit(worker, labels).ok());
+  }
+  const int64_t hits =
+      CounterValue(engine, util::tnames::kQwLikelihoodCacheHits);
+  const int64_t misses =
+      CounterValue(engine, util::tnames::kQwLikelihoodCacheMisses);
+  // 20 HITs from 6 workers with a refit every 3rd completion: every Qw
+  // request and incremental posterior refresh resolves through the cache,
+  // and invalidation forces fresh misses after each refit — so both
+  // counters must be active.
+  EXPECT_GE(hits + misses, 20);
+  EXPECT_GT(hits, 0);
+  EXPECT_GT(misses, 0);
+  // Every request samples one answer per candidate row.
+  EXPECT_GT(CounterValue(engine, util::tnames::kQwSamplesDrawn), 0);
 }
 
 TEST(EngineDeathTest, InvalidConfigAborts) {

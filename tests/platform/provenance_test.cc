@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/kernels/kernels.h"
 #include "platform/engine.h"
 #include "platform/qasca_strategy.h"
 #include "util/flight_recorder.h"
@@ -29,7 +28,6 @@ DecisionProvenance SampleRecord(uint64_t hit_id) {
   record.candidates = 40;
   record.likelihood_cache_hit = hit_id % 2 == 0;
   record.em_generation = 3;
-  record.kernel_isa = 1;
   record.journal_seq = hit_id * 2;
   record.now_ticks = hit_id * 7;
   record.lease_deadline = hit_id * 7 + 100;
@@ -88,11 +86,33 @@ TEST(ProvenanceLogTest, JsonLinesRoundTripsEveryField) {
     EXPECT_EQ(got.candidates, want.candidates);
     EXPECT_EQ(got.likelihood_cache_hit, want.likelihood_cache_hit);
     EXPECT_EQ(got.em_generation, want.em_generation);
-    EXPECT_EQ(got.kernel_isa, want.kernel_isa);
     EXPECT_EQ(got.journal_seq, want.journal_seq);
     EXPECT_EQ(got.now_ticks, want.now_ticks);
     EXPECT_EQ(got.lease_deadline, want.lease_deadline);
   }
+}
+
+TEST(ProvenanceLogTest, ParsesLinesWithRetiredKernelIsaKeys) {
+  // Dumps written before the kernel ISA fields were retired carry two extra
+  // keys; they must stay readable, with every other field intact.
+  const std::string line =
+      "{\"seq\":4,\"trace\":41,\"hit\":4,\"worker\":4,"
+      "\"questions\":[1,4,9],\"scores\":[0.25,0.125,0.0625],"
+      "\"objective\":0.75,\"outer_iterations\":2,\"inner_iterations\":6,"
+      "\"candidates\":40,\"cache_hit\":true,\"em_generation\":3,"
+      "\"kernel_isa\":2,\"kernel_isa_name\":\"avx2\",\"journal_seq\":8,"
+      "\"ticks\":28,\"deadline\":128}\n";
+  auto parsed = ProvenanceLog::ParseJsonLines(line);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed->size(), 1u);
+  const DecisionProvenance& got = (*parsed)[0];
+  EXPECT_EQ(got.seq, 4u);
+  EXPECT_EQ(got.questions, (std::vector<QuestionIndex>{1, 4, 9}));
+  EXPECT_TRUE(got.likelihood_cache_hit);
+  EXPECT_EQ(got.em_generation, 3u);
+  EXPECT_EQ(got.journal_seq, 8u);
+  EXPECT_EQ(got.now_ticks, 28u);
+  EXPECT_EQ(got.lease_deadline, 128u);
 }
 
 TEST(ProvenanceLogTest, ParseRejectsMalformedLines) {
@@ -149,7 +169,6 @@ TEST(ProvenanceEngineTest, EveryAssignmentGetsOneRecord) {
     EXPECT_TRUE(std::is_sorted(record.questions.begin(),
                                record.questions.end()));
     EXPECT_GT(record.candidates, 0);
-    EXPECT_EQ(record.kernel_isa, static_cast<int>(kernels::ActiveIsa()));
     // Requests and completions alternate, each taking one trace id.
     EXPECT_EQ(record.trace_id, static_cast<uint64_t>(2 * i));
   }

@@ -27,11 +27,11 @@ blessed one until the site is migrated — or carry an
 `// analyze:allow(float-determinism)` with a justification.
 
 `src/core/kernels/` is excluded wholesale: it IS the audited fold layer.
-The kernel TUs implement the pinned 4-lane reduction schedule by hand
-(and in intrinsics), every ISA path is proven bit-identical by the
-kernel-equivalence suite, and the TUs are built -ffp-contract=off — the
-raw accumulators there are the definition of the blessed order, not an
-escape from it.
+kernels.h spells out the pinned 4-lane RowSum schedule by hand,
+tests/core/kernels_test.cc pins every kernel against its reference
+expression, and the multiply-add kernels in kernels.cc are built
+-ffp-contract=off — the raw accumulators there are the definition of the
+blessed order, not an escape from it.
 """
 
 from __future__ import annotations

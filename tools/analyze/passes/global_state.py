@@ -8,8 +8,7 @@ src/platform would couple their runs (and race, since pool workers cross
 TUs). The frontend records every such definition that is not
 const/constexpr; each one is a finding.
 
-Legitimate immutable-after-init singletons (e.g. the kernel dispatch table
-resolved once from CPUID) stay, justified in place with
+Legitimate immutable-after-init singletons stay, justified in place with
 `// analyze:allow(global-state)`. util/ is exempt: the telemetry and
 failpoint registries are process-wide services by design and carry their
 own locks.

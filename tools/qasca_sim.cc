@@ -25,7 +25,7 @@
 //   --provenance-out FILE
 //                  with the same instrumented run, write one JSONL decision
 //                  provenance record per assignment (chosen questions +
-//                  benefit scores, kernel ISA, cache/overlay usage, journal
+//                  benefit scores, cache usage, EM generation, journal
 //                  sequencing); combine with --trace-out to get both from a
 //                  single run
 //   --apps N       serving mode (DESIGN.md §14): host N QASCA apps in one

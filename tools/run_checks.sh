@@ -43,10 +43,9 @@
 #      fail-point registry, golden-trace byte-identity) — the
 #      fault-injection branches only exist with DCHECKs on, so this is
 #      the build that exercises them
-#   9. kernel-equivalence suite under the same asan-ubsan build, replayed
-#      once per QASCA_KERNEL_ISA override (scalar, sse2, avx2): the tests
-#      labelled "kernels" prove every SIMD dispatch path makes
-#      byte-identical assignment decisions (DESIGN.md §12)
+#   9. kernel suite under the same asan-ubsan build: the tests labelled
+#      "kernels" pin every row kernel's fold schedule and rounding, and
+#      the fused Qw batch against its composed pipeline (DESIGN.md §12)
 #  10. tsan preset over the tests labelled "threads" (thread-pool,
 #      thread-annotations, telemetry, lock-rank, engine-determinism and
 #      lifecycle stress suites); --tsan widens this stage to the full
@@ -216,18 +215,12 @@ stage_begin "faults suite under asan-ubsan (lifecycle stress, lease/recovery, fa
 run ctest --preset asan-ubsan-faults -j "${JOBS}"
 stage_pass
 
-stage_begin "kernel-equivalence suite under asan-ubsan, per QASCA_KERNEL_ISA override"
+stage_begin "kernel suite under asan-ubsan"
 # Reuses the stage-6 sanitizer build. The `kernels` label selects the
-# bit-identity suite (ISSUE 7, DESIGN.md §12): per-kernel ISA equivalence,
-# overlay/cache units and full-engine equivalence runs. Replaying it with
-# each QASCA_KERNEL_ISA value covers the env-var dispatch path itself
-# (parsing, unsupported-ISA fallback) that in-process SetIsaForTesting
-# cannot reach; unsupported ISAs fall back with a warning, so every
-# iteration is safe on every host.
-for isa in scalar sse2 avx2; do
-  QASCA_KERNEL_ISA="${isa}" ctest --preset asan-ubsan-kernels -j "${JOBS}" ||
-    stage_fail
-done
+# bit-identity suite (DESIGN.md §12): the per-kernel schedule and
+# rounding tests, the fused-vs-composed Qw batch, and the overlay/cache
+# units.
+run ctest --preset asan-ubsan-kernels -j "${JOBS}"
 stage_pass
 
 if [[ "${RUN_TSAN}" -eq 1 ]]; then
