@@ -73,11 +73,10 @@ struct AppConfig {
   /// pool, the budget is refunded, and a late completion is rejected.
   /// 0 = leases never expire (the paper's idealised lifecycle; default).
   uint64_t lease_timeout_ticks = 0;
-  /// Path prefix for the crash-recovery lifecycle journal
-  /// ("<prefix>.snapshot" + "<prefix>.log", DESIGN.md §11). Every
-  /// assignment, completion and tick is appended so Engine::Recover can
-  /// replay a crashed engine to a bit-identical state. Empty = persistence
-  /// off (default).
+  /// Path prefix for the crash-recovery lifecycle journal, one append-only
+  /// file "<prefix>.log" (DESIGN.md §11). Every assignment, completion and
+  /// tick is appended so Engine::Recover can replay a crashed engine to a
+  /// bit-identical state. Empty = persistence off (default).
   std::string persistence_path;
   /// Always-on agreement bound between the incremental Qc and the next full
   /// EM refit: the max absolute cell difference must stay below this, else

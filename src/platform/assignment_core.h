@@ -69,7 +69,7 @@ class AssignmentCore {
 
   /// Marks a decided HIT's questions assigned in the database (removes them
   /// from the worker's candidate set). The shell calls this only after the
-  /// decision is durable in the journal.
+  /// decision is in the journal.
   void CommitAssignment(WorkerId worker,
                         const std::vector<QuestionIndex>& questions);
 

@@ -126,7 +126,7 @@ util::StatusOr<std::vector<QuestionIndex>> TaskAssignmentEngine::RequestHit(
 
   // Decision provenance: the strategy fills the selection scores and the
   // core fills the decision-input fields; the identity fields are filled
-  // below once the assignment is durable.
+  // below once the assignment is journaled.
   DecisionProvenance provenance_record;
   util::Stopwatch stopwatch;
   util::StatusOr<AssignmentCore::Decision> decision = core_->Decide(
@@ -144,7 +144,7 @@ util::StatusOr<std::vector<QuestionIndex>> TaskAssignmentEngine::RequestHit(
   }
   std::vector<QuestionIndex> selected = std::move(decision->questions);
 
-  // Write-ahead: the event must be durable before any engine state mutates,
+  // Write-ahead: the event must be journaled before any engine state mutates,
   // so a failed append leaves this HIT unassigned everywhere — recovery and
   // the live engine agree the event never happened.
   if (journal_ != nullptr && !replaying_) {
@@ -168,7 +168,7 @@ util::StatusOr<std::vector<QuestionIndex>> TaskAssignmentEngine::RequestHit(
   instruments_.open_hits->Set(static_cast<double>(open_hits_.size()));
   instruments_.remaining_hits->Set(static_cast<double>(remaining_hits()));
   if (provenance_ != nullptr) {
-    // Appended after the assignment is durable, and during replay too:
+    // Appended after the assignment is journaled, and during replay too:
     // provenance is re-derivable audit state, rebuilt by recovery replay,
     // so counts stay consistent across crashes.
     provenance_record.trace_id = trace_id;
@@ -317,7 +317,7 @@ util::Status TaskAssignmentEngine::Recover() {
   replay_journal_seq_ = 0;
   util::Status status = ReplayLoadedEvents();
   replaying_ = false;
-  // Replayed events live on in the journal's files, not in memory.
+  // Replayed events live on in the journal's file, not in memory.
   journal_->ReleaseLoadedEvents();
   return status;
 }

@@ -1,10 +1,11 @@
 #include "platform/journal.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <sstream>
+#include <system_error>
 #include <utility>
 
 #include "util/failpoint.h"
@@ -15,8 +16,8 @@ namespace qasca {
 
 namespace {
 
-// One event per line, integer tokens, closed by a "." terminator so a torn
-// tail that happens to cut at a token boundary still fails to parse:
+// One event per line, integer tokens, closed by a "." terminator so a line
+// that lost its end at a token boundary still fails to parse:
 //   <seq> A <worker> <n> <q1> ... <qn> .     assignment
 //   <seq> C <worker> <n> <l1> ... <ln> .     completion
 //   <seq> T <ticks> .                        virtual-clock advance
@@ -40,7 +41,7 @@ std::string Serialize(const LifecycleJournal::Event& event) {
   return out.str();
 }
 
-// Parses one line; returns false on any damage (torn tail, partial write).
+// Parses one line; returns false on any damage.
 bool ParseLine(const std::string& line, LifecycleJournal::Event* event) {
   std::istringstream in(line);
   std::string kind;
@@ -83,55 +84,46 @@ size_t CountLines(const std::string& path) {
 
 }  // namespace
 
-LifecycleJournal::LifecycleJournal(std::string path_prefix)
-    : path_prefix_(std::move(path_prefix)) {
-  QASCA_CHECK(!path_prefix_.empty());
+LifecycleJournal::LifecycleJournal(std::string path_prefix) {
+  QASCA_CHECK(!path_prefix.empty());
+  log_path_ = std::move(path_prefix) + ".log";
   // One event per line: sized once for every line on disk.
-  history_.reserve(CountLines(snapshot_path()) + CountLines(log_path()));
-  // The snapshot is only ever replaced whole (tmp + rename), so every line
-  // must parse and seqs must be contiguous from 0; anything else is data
-  // corruption, not a crash artefact.
-  std::ifstream snapshot(snapshot_path());
+  history_.reserve(CountLines(log_path_));
+  // Every newline-terminated line was flushed whole by an append that
+  // returned OK, so it must parse and continue the seq; anything else is
+  // corruption, not a crash artefact. Only the bytes after the last newline
+  // can be a crash's torn write.
+  std::ifstream in(log_path_, std::ios::binary);
   std::string line;
-  while (snapshot.is_open() && std::getline(snapshot, line)) {
+  uintmax_t whole_bytes = 0;
+  bool torn = false;
+  while (std::getline(in, line)) {
+    if (in.eof()) {  // no newline
+      torn = true;
+      break;
+    }
     Event event;
-    QASCA_CHECK(ParseLine(line, &event))
-        << "corrupt journal snapshot line:" << line;
-    QASCA_CHECK_EQ(event.seq, next_seq_)
-        << "journal snapshot seq gap at" << event.seq;
+    QASCA_CHECK(ParseLine(line, &event)) << "corrupt journal line:" << line;
+    QASCA_CHECK_EQ(event.seq, next_seq_) << "journal seq gap at" << event.seq;
     ++next_seq_;
+    whole_bytes += line.size() + 1;
     history_.push_back(std::move(event));
   }
-  // The log's tail can be torn or lost by a crash: keep the longest
-  // well-formed strictly-ascending prefix. Events the snapshot already
-  // covers (crash between compaction rename and log truncation) are
-  // skipped by their seq.
-  std::ifstream log(log_path());
-  while (log.is_open() && std::getline(log, line)) {
-    Event event;
-    if (!ParseLine(line, &event)) break;
-    if (event.seq < next_seq_) continue;
-    if (event.seq > next_seq_) break;
-    ++next_seq_;
-    history_.push_back(std::move(event));
-  }
-  snapshot.close();
-  log.close();
-  // Compacting now means a surviving torn tail never receives appends. A
-  // journal that cannot even rewrite its snapshot at construction has no
-  // durability to offer, so this one is fatal.
-  QASCA_CHECK_OK(Compact());
+  in.close();
+  // Cut the torn tail off before the first append, so no line continues it.
+  std::error_code cut_error;
+  if (torn) std::filesystem::resize_file(log_path_, whole_bytes, cut_error);
+  log_.open(log_path_, std::ios::app);
+  if (cut_error) log_.setstate(std::ios::badbit);
 }
 
 void LifecycleJournal::AttachTelemetry(util::MetricRegistry* registry) {
   if (registry == nullptr) {
     appends_ = nullptr;
-    compactions_ = nullptr;
     failpoints_triggered_ = nullptr;
     return;
   }
   appends_ = registry->GetCounter(util::tnames::kJournalAppends);
-  compactions_ = registry->GetCounter(util::tnames::kJournalCompactions);
   failpoints_triggered_ =
       registry->GetCounter(util::tnames::kFailpointsTriggered);
 }
@@ -168,66 +160,39 @@ void LifecycleJournal::ReleaseLoadedEvents() {
 util::Status LifecycleJournal::Append(Event event) {
   event.seq = next_seq_++;
   const std::string line = Serialize(event);
-  // The seq always advances — these fail points simulate the *disk* losing
-  // the record in a crash the process never observes (so they return OK),
-  // after which the test abandons this instance and recovers a fresh
-  // engine from what reached the file.
   if (appends_ != nullptr) appends_->Add(1);
+  // drop_append and torn_append simulate the *disk* losing or tearing the
+  // record in a crash the process never observes, so they return OK. Each
+  // then fails the stream, as the dead process would write nothing more;
+  // the test abandons this instance and recovers a fresh engine from what
+  // reached the file.
   if (QASCA_FAIL_POINT("journal.drop_append")) {
     if (failpoints_triggered_ != nullptr) failpoints_triggered_->Add(1);
+    log_.setstate(std::ios::badbit);
     return util::Status::Ok();
-  }
-  std::ofstream log(log_path(), std::ios::app);
-  if (!log.is_open()) {
-    return util::Status::Internal("cannot append to journal " + log_path());
   }
   if (QASCA_FAIL_POINT("journal.torn_append")) {
     if (failpoints_triggered_ != nullptr) failpoints_triggered_->Add(1);
-    log << line.substr(0, line.size() / 2);  // no newline: a torn write
+    log_ << line.substr(0, line.size() / 2) << std::flush;  // no newline
+    log_.setstate(std::ios::badbit);
     return util::Status::Ok();
+  }
+  // A write error the stream reports, as a full disk would.
+  if (QASCA_FAIL_POINT("journal.fail_append")) {
+    if (failpoints_triggered_ != nullptr) failpoints_triggered_->Add(1);
+    log_.setstate(std::ios::badbit);
   }
   // A stream write can fail (disk full, quota, I/O error) without throwing;
   // flush and interrogate the stream so a lost record is reported instead
-  // of silently diverging from the in-memory history.
-  log << line;
-  log.flush();
-  if (!log.good()) {
-    return util::Status::Internal("journal append did not reach disk: " +
-                                  log_path());
-  }
-  return util::Status::Ok();
-}
-
-util::Status LifecycleJournal::Compact() {
-  const std::string tmp_path = snapshot_path() + ".tmp";
-  {
-    std::ofstream tmp(tmp_path, std::ios::trunc);
-    if (!tmp.is_open()) {
-      return util::Status::Internal("cannot write journal snapshot " +
-                                    tmp_path);
-    }
-    for (const Event& event : history_) tmp << Serialize(event);
-    tmp.flush();
-    if (!tmp.good()) {
-      return util::Status::Internal("journal snapshot write failed: " +
-                                    tmp_path);
-    }
-  }
-  if (std::rename(tmp_path.c_str(), snapshot_path().c_str()) != 0) {
-    return util::Status::Internal("cannot replace journal snapshot " +
-                                  snapshot_path());
-  }
-  if (compactions_ != nullptr) compactions_->Add(1);
-  if (QASCA_FAIL_POINT("journal.compact_skip_truncate")) {
-    // Crash between the rename and the truncation: the log keeps events the
-    // snapshot already covers, which recovery dedupes by seq.
-    if (failpoints_triggered_ != nullptr) failpoints_triggered_->Add(1);
-    return util::Status::Ok();
-  }
-  std::ofstream truncate(log_path(), std::ios::trunc);
-  if (!truncate.is_open()) {
-    return util::Status::Internal("cannot truncate journal log " +
-                                  log_path());
+  // of silently diverging from the in-memory history. A failed stream stays
+  // failed, so every later append is refused too and nothing is written
+  // past the gap.
+  log_ << line;
+  log_.flush();
+  if (!log_.good()) {
+    return util::Status::Internal(
+        "journal append failed; the journal refuses all later appends: " +
+        log_path_);
   }
   return util::Status::Ok();
 }

@@ -2,6 +2,7 @@
 #define QASCA_PLATFORM_JOURNAL_H_
 
 #include <cstdint>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -20,23 +21,26 @@ namespace qasca {
 /// posteriors, worker models, RNG stream, open leases — with no
 /// field-by-field state serialisation at all.
 ///
-/// On-disk layout ("<prefix>" is AppConfig::persistence_path):
-///  * <prefix>.snapshot — the compacted event history. Replaced only by
-///    atomic rename, so it is always whole; a parse error here is data
-///    corruption, not a crash artefact, and recovery refuses it.
-///  * <prefix>.log — events appended since the last compaction. A crash can
-///    tear or lose its tail; recovery keeps the longest well-formed,
-///    strictly seq-ascending prefix and drops the rest (those events never
-///    happened, exactly like a redo log). Events with seq numbers already
-///    covered by the snapshot are skipped, so a crash between the
-///    compaction rename and the log truncation double-counts nothing.
+/// On disk it is one append-only file, "<prefix>.log" ("<prefix>" is
+/// AppConfig::persistence_path): one event per newline-terminated line,
+/// seqs contiguous from 0. The constructor opens it once and holds it open;
+/// each append writes one line and flushes it to the OS. Nothing is
+/// fsynced, so an acknowledged event survives a process crash, not a power
+/// loss.
 ///
-/// Construction loads whatever survived and immediately compacts it, so a
-/// torn tail never receives further appends.
+/// Loading: every newline-terminated line must parse and continue the seq;
+/// anything else is damage a crash cannot cause, and the constructor aborts.
+/// Bytes after the last newline are a torn tail (a crash mid-append): the
+/// constructor truncates the file to the end of the last whole line, so a
+/// torn tail never receives appends.
+///
+/// Fail-stop: a write that fails leaves the held stream failed, and that
+/// append and every later one return Internal, so nothing is ever written
+/// past a seq gap.
 ///
 /// Memory: the journal holds the loaded events until the engine's Recover()
 /// has replayed them and calls ReleaseLoadedEvents(); appended events go to
-/// the log file only, so nothing grows with the app's lifetime.
+/// the file only, so nothing grows with the app's lifetime.
 ///
 /// Threading contract: engine-thread-only, like the Database — appends
 /// happen between kernel dispatches on the thread driving the engine; pool
@@ -45,7 +49,7 @@ class LifecycleJournal {
  public:
   struct Event {
     enum class Kind { kAssign, kComplete, kTick };
-    /// Strictly ascending, 0-based; the snapshot/log dedup key.
+    /// Contiguous and 0-based: line i of the file holds seq i.
     uint64_t seq = 0;
     Kind kind = Kind::kAssign;
     WorkerId worker = 0;
@@ -57,22 +61,22 @@ class LifecycleJournal {
     std::vector<LabelIndex> labels;
   };
 
-  /// Loads surviving events from "<prefix>.snapshot" / "<prefix>.log"
-  /// (tolerating a torn log tail) and compacts them. Aborts on a corrupt
-  /// snapshot — that file is written atomically, so damage there is not a
-  /// crash artefact.
+  /// Loads the events in "<prefix>.log", cuts a torn tail off the file and
+  /// opens it for appends. Aborts on a line that does not parse or does not
+  /// continue the seq from 0. If the file cannot be opened or cut, every
+  /// append returns Internal.
   explicit LifecycleJournal(std::string path_prefix);
 
-  /// Wires the journal's counters (journal.appends, journal.compactions,
-  /// failpoint.triggered) into `registry`. nullptr detaches.
+  /// Wires the journal's counters (journal.appends, failpoint.triggered)
+  /// into `registry`. nullptr detaches.
   void AttachTelemetry(util::MetricRegistry* registry);
 
-  /// Durably appends one lifecycle event. A non-OK Status means the record
-  /// did not verifiably reach the log file (open or write failure): the
-  /// caller must not report the event as durable — an append that "succeeds"
-  /// without reaching disk is exactly the silent recovery divergence the
-  /// journal exists to prevent. The seq still advances, so a caller that
-  /// treats the failure as fatal crashes consistent.
+  /// Appends one lifecycle event and flushes it to the OS (no fsync). A
+  /// non-OK Status means the record did not verifiably reach the file: the
+  /// caller must not report the event as recorded — an append that
+  /// "succeeds" without reaching the file is exactly the silent recovery
+  /// divergence the journal exists to prevent. After one failure every
+  /// later append fails too (fail-stop).
   QASCA_NODISCARD
   util::Status AppendAssign(WorkerId worker,
                             const std::vector<QuestionIndex>& questions);
@@ -96,23 +100,13 @@ class LifecycleJournal {
  private:
   QASCA_NODISCARD util::Status Append(Event event);
 
-  /// Folds the log into the snapshot: writes the loaded history to a temp
-  /// file, renames it over the snapshot, then truncates the log. Runs once,
-  /// at construction, while history_ still holds every surviving event. A
-  /// non-OK Status means the snapshot was not replaced (the old one is
-  /// intact — the rename is atomic) or the log truncation failed; either
-  /// way the on-disk state is still recoverable, just uncompacted.
-  QASCA_NODISCARD util::Status Compact();
-
-  std::string snapshot_path() const { return path_prefix_ + ".snapshot"; }
-  std::string log_path() const { return path_prefix_ + ".log"; }
-
-  std::string path_prefix_;
-  /// The events loaded at construction; source of truth for Compact.
+  std::string log_path_;
+  /// The events loaded at construction, until ReleaseLoadedEvents().
   std::vector<Event> history_;
   uint64_t next_seq_ = 0;
+  /// The file, held open for appends. Once failed it stays failed.
+  std::ofstream log_;
   util::Counter* appends_ = nullptr;
-  util::Counter* compactions_ = nullptr;
   util::Counter* failpoints_triggered_ = nullptr;
 };
 

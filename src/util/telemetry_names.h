@@ -64,7 +64,6 @@ inline constexpr char kHitLateCompletionRejected[] =
     "hit.late_completion_rejected";
 // Lifecycle journal persistence (crash recovery, DESIGN.md §11).
 inline constexpr char kJournalAppends[] = "journal.appends";
-inline constexpr char kJournalCompactions[] = "journal.compactions";
 inline constexpr char kJournalEventsReplayed[] = "journal.events_replayed";
 inline constexpr char kFailpointsTriggered[] = "failpoint.triggered";
 // Assignment-latency SLO tracking (flight recorder PR, DESIGN.md §13):

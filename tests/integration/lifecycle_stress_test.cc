@@ -23,7 +23,6 @@
 // firing) makes the same decisions, bit for bit, as one with the layer off.
 
 #include <cstdint>
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <set>
@@ -110,14 +109,6 @@ AppConfig MakeConfig(const StressCase& c, const std::string& persistence) {
   return config;
 }
 
-std::string FreshJournalPrefix(const std::string& name) {
-  const std::string prefix =
-      ::testing::TempDir() + "/qasca_lifecycle_" + name;
-  std::remove((prefix + ".snapshot").c_str());
-  std::remove((prefix + ".log").c_str());
-  return prefix;
-}
-
 std::unique_ptr<TaskAssignmentEngine> MakeEngine(const AppConfig& config,
                                                  uint64_t seed) {
   return std::make_unique<TaskAssignmentEngine>(
@@ -128,8 +119,8 @@ class LifecycleStressTest : public ::testing::TestWithParam<StressCase> {};
 
 TEST_P(LifecycleStressTest, SeededEventStormHoldsInvariants) {
   const StressCase& c = GetParam();
-  const std::string prefix = FreshJournalPrefix(c.name);
-  const AppConfig config = MakeConfig(c, prefix);
+  ScopedTestDir dir;
+  const AppConfig config = MakeConfig(c, dir.path() + "/journal");
 
   GroundTruthVector truth(kNumQuestions);
   for (int q = 0; q < kNumQuestions; ++q) truth[q] = q % kNumLabels;
@@ -314,13 +305,14 @@ INSTANTIATE_TEST_SUITE_P(
 // selections, same Qc bit patterns, same results. (The golden-trace test
 // separately pins this behaviour against the pre-PR engine.)
 TEST(LifecycleByteIdentityTest, DisarmedRobustnessLayerChangesNothing) {
+  ScopedTestDir dir;
   for (const bool fscore : {false, true}) {
     StressCase base{fscore ? "identity_fscore" : "identity_accuracy", fscore,
                     WorkerModel::Kind::kConfusionMatrix, 1, 21};
     AppConfig plain = MakeConfig(base, "");
     plain.lease_timeout_ticks = 0;
-    AppConfig armed =
-        MakeConfig(base, FreshJournalPrefix(base.name));  // leases + journal
+    // Leases + journal.
+    AppConfig armed = MakeConfig(base, dir.path() + "/" + base.name);
 
     GroundTruthVector truth(kNumQuestions);
     for (int q = 0; q < kNumQuestions; ++q) truth[q] = q % kNumLabels;

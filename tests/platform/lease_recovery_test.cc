@@ -1,13 +1,17 @@
 // Unit coverage for the HIT-lifecycle robustness layer (ISSUE 5): every
 // new Status branch in Engine::CompleteHit / Engine::Recover, the lease
-// expiry/requeue mechanics, the telemetry counters they increment, and the
-// journal's crash points (fail-point driven, so those tests are compiled
-// out with QASCA_ENABLE_FAILPOINTS=0). The end-to-end seeded storm lives in
+// expiry/requeue mechanics, the telemetry counters they increment, the
+// journal file's load rules (torn tails cut, damage refused) and its crash
+// points (fail-point driven, so those tests are compiled out with
+// QASCA_ENABLE_FAILPOINTS=0). The end-to-end seeded storm lives in
 // tests/integration/lifecycle_stress_test.cc; this file isolates each
 // branch.
 
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -44,13 +48,6 @@ std::unique_ptr<TaskAssignmentEngine> MakeEngine(AppConfig config,
                                                  uint64_t seed = 1) {
   return std::make_unique<TaskAssignmentEngine>(
       std::move(config), std::make_unique<QascaStrategy>(), seed);
-}
-
-std::string FreshJournalPrefix(const std::string& name) {
-  const std::string prefix = ::testing::TempDir() + "/qasca_" + name;
-  std::remove((prefix + ".snapshot").c_str());
-  std::remove((prefix + ".log").c_str());
-  return prefix;
 }
 
 int64_t CounterValue(const TaskAssignmentEngine& engine,
@@ -179,8 +176,8 @@ TEST(RecoveryTest, RecoverWithoutPersistenceIsFailedPrecondition) {
 }
 
 TEST(RecoveryTest, ReplayReproducesStateAndRngStream) {
-  const std::string prefix = FreshJournalPrefix("recovery_basic");
-  const AppConfig config = LeaseConfig(prefix);
+  ScopedTestDir dir;
+  const AppConfig config = LeaseConfig(dir.path() + "/app");
 
   // Reference run: journal six lifecycle events, remember the state and
   // the next decision the engine would have made.
@@ -222,8 +219,8 @@ TEST(RecoveryTest, ReplayReproducesStateAndRngStream) {
 }
 
 TEST(RecoveryTest, MismatchedSeedDivergesWithInternal) {
-  const std::string prefix = FreshJournalPrefix("recovery_seed");
-  const AppConfig config = LeaseConfig(prefix);
+  ScopedTestDir dir;
+  const AppConfig config = LeaseConfig(dir.path() + "/app");
   {
     // Varied answers drive Qc away from uniform; once rows differ, the
     // seed-dependent sampled Qw steers which questions win Top-K Benefit,
@@ -249,7 +246,8 @@ TEST(RecoveryTest, MismatchedSeedDivergesWithInternal) {
 // expires it the count reads 0 again; Recover must still refuse to replay
 // the journal on top of that live state.
 TEST(RecoveryDeathTest, RecoverAfterAnExpiredLeaseAborts) {
-  auto engine = MakeEngine(LeaseConfig(FreshJournalPrefix("recovery_live")));
+  ScopedTestDir dir;
+  auto engine = MakeEngine(LeaseConfig(dir.path() + "/app"));
   ASSERT_TRUE(engine->RequestHit(7).ok());
   ASSERT_EQ(engine->Tick(2), 1);
   ASSERT_EQ(engine->assigned_hits(), 0);
@@ -258,18 +256,16 @@ TEST(RecoveryDeathTest, RecoverAfterAnExpiredLeaseAborts) {
 
 // --- journal memory and the provenance seq join ----------------------------
 
-// Seqs of the assignment lines on disk, snapshot first, then log.
+// Seqs of the assignment lines in the journal file.
 std::vector<uint64_t> AssignSeqsOnDisk(const std::string& prefix) {
   std::vector<uint64_t> seqs;
-  for (const char* suffix : {".snapshot", ".log"}) {
-    std::ifstream in(prefix + suffix);
-    std::string line;
-    while (std::getline(in, line)) {
-      std::istringstream fields(line);
-      uint64_t seq = 0;
-      std::string kind;
-      if (fields >> seq >> kind && kind == "A") seqs.push_back(seq);
-    }
+  std::ifstream in(prefix + ".log");
+  std::string line;
+  while (std::getline(in, line)) {
+    std::istringstream fields(line);
+    uint64_t seq = 0;
+    std::string kind;
+    if (fields >> seq >> kind && kind == "A") seqs.push_back(seq);
   }
   return seqs;
 }
@@ -306,9 +302,15 @@ TEST(JournalTest, AppendsLeaveOnlyTheLoadedEventsInMemory) {
   loaded.ReleaseLoadedEvents();
   EXPECT_TRUE(loaded.events().empty());
 
-  // Everything appended reached the files: a third load sees all 83.
+  // Everything appended reached the file: a third load sees all 83, and
+  // the file is the journal's only one.
   LifecycleJournal reloaded(prefix);
   EXPECT_EQ(reloaded.events().size(), 83u);
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir.path())) {
+    files.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(files, std::vector<std::string>{"journal.log"});
 }
 
 TEST(JournalTest, RecoveryReproducesStateAndProvenanceJoinsJournalSeqs) {
@@ -349,6 +351,144 @@ TEST(JournalTest, RecoveryReproducesStateAndProvenanceJoinsJournalSeqs) {
   EXPECT_EQ(ProvenanceSeqs(*recovered), AssignSeqsOnDisk(prefix));
 }
 
+// --- the journal file: torn tails, damage, an unopenable path ------------
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+// Appends `count` events that cycle through assignment, completion and tick.
+void WriteMixedJournal(const std::string& prefix, int count) {
+  LifecycleJournal journal(prefix);
+  for (int i = 0; i < count; ++i) {
+    const WorkerId worker = i % 7;
+    switch (i % 3) {
+      case 0:
+        ASSERT_TRUE(journal.AppendAssign(worker, {i % 12, (i + 5) % 12}).ok());
+        break;
+      case 1:
+        ASSERT_TRUE(journal.AppendComplete(worker, {i % 2, 1}).ok());
+        break;
+      default:
+        ASSERT_TRUE(journal.AppendTick(1 + i % 4).ok());
+    }
+  }
+}
+
+bool SameEvent(const LifecycleJournal::Event& a,
+               const LifecycleJournal::Event& b) {
+  return a.seq == b.seq && a.kind == b.kind && a.worker == b.worker &&
+         a.ticks == b.ticks && a.questions == b.questions &&
+         a.labels == b.labels;
+}
+
+// The log path is briefly unopenable for one append (a directory stands in
+// its place), then restored. Every append that returned OK must load; none
+// may be lost behind the failed one.
+TEST(JournalTest, EveryAcknowledgedAppendSurvivesABrieflyUnopenablePath) {
+  ScopedTestDir dir;
+  const std::string prefix = dir.path() + "/journal";
+  const std::string log = prefix + ".log";
+  const std::string moved = dir.path() + "/moved";
+  std::vector<WorkerId> acknowledged;
+  {
+    LifecycleJournal journal(prefix);
+    const auto append = [&](WorkerId worker) {
+      if (journal.AppendAssign(worker, {worker}).ok()) {
+        acknowledged.push_back(worker);
+      }
+    };
+    for (WorkerId worker = 0; worker < 3; ++worker) append(worker);
+    ASSERT_EQ(std::rename(log.c_str(), moved.c_str()), 0);
+    ASSERT_TRUE(std::filesystem::create_directory(log));
+    append(3);
+    ASSERT_TRUE(std::filesystem::remove(log));
+    ASSERT_EQ(std::rename(moved.c_str(), log.c_str()), 0);
+    for (WorkerId worker = 4; worker < 7; ++worker) append(worker);
+  }
+  LifecycleJournal loaded(prefix);
+  ASSERT_EQ(loaded.events().size(), acknowledged.size());
+  for (size_t i = 0; i < acknowledged.size(); ++i) {
+    EXPECT_EQ(loaded.events()[i].seq, i);
+    EXPECT_EQ(loaded.events()[i].worker, acknowledged[i]);
+  }
+}
+
+// A crash can stop an append at any byte. Whatever prefix of the file
+// survives, the load keeps exactly the lines whose newline made it, cuts
+// the rest off the file, and the next append continues the seq.
+TEST(JournalTest, ACrashAtEveryByteKeepsExactlyTheWholeLinesBeforeIt) {
+  ScopedTestDir dir;
+  const std::string source = dir.path() + "/source";
+  WriteMixedJournal(source, 40);
+  const std::string bytes = ReadFile(source + ".log");
+  const LifecycleJournal full(source);
+  ASSERT_EQ(full.events().size(), 40u);
+
+  const std::string cut = dir.path() + "/cut";
+  for (size_t b = 0; b <= bytes.size(); ++b) {
+    const std::string survived = bytes.substr(0, b);
+    WriteFile(cut + ".log", survived);
+    const size_t whole = static_cast<size_t>(
+        std::count(survived.begin(), survived.end(), '\n'));
+    const size_t whole_bytes = survived.rfind('\n') + 1;  // npos + 1 == 0
+    {
+      LifecycleJournal journal(cut);
+      ASSERT_EQ(journal.events().size(), whole) << "cut at byte " << b;
+      for (size_t i = 0; i < whole; ++i) {
+        ASSERT_TRUE(SameEvent(journal.events()[i], full.events()[i]))
+            << "cut at byte " << b << ", event " << i;
+      }
+      ASSERT_EQ(std::filesystem::file_size(cut + ".log"), whole_bytes)
+          << "cut at byte " << b;
+      ASSERT_TRUE(journal.AppendTick(9).ok());
+    }
+    LifecycleJournal reloaded(cut);
+    ASSERT_EQ(reloaded.events().size(), whole + 1) << "cut at byte " << b;
+    for (size_t i = 0; i <= whole; ++i) {
+      ASSERT_EQ(reloaded.events()[i].seq, i) << "cut at byte " << b;
+    }
+    EXPECT_EQ(reloaded.events().back().kind,
+              LifecycleJournal::Event::Kind::kTick);
+    EXPECT_EQ(reloaded.events().back().ticks, 9u);
+  }
+}
+
+// Only a crash's torn tail is forgiven: a whole line that does not parse is
+// corruption. The flipped bit turns the kind letter A, C or T into @, B or
+// U.
+TEST(JournalDeathTest, AFlippedByteInAMiddleLineIsRefused) {
+  ScopedTestDir dir;
+  const std::string prefix = dir.path() + "/journal";
+  WriteMixedJournal(prefix, 9);
+  std::string bytes = ReadFile(prefix + ".log");
+  size_t line_start = 0;
+  for (int line = 0; line < 4; ++line) {
+    line_start = bytes.find('\n', line_start) + 1;
+  }
+  bytes[bytes.find(' ', line_start) + 1] ^= 0x01;
+  WriteFile(prefix + ".log", bytes);
+  EXPECT_DEATH({ LifecycleJournal journal(prefix); }, "corrupt journal line");
+}
+
+// A file whose first seq is not 0 holds a suffix of some history; replaying
+// it would recover a state that never existed.
+TEST(JournalDeathTest, AFirstSeqOtherThanZeroIsRefused) {
+  ScopedTestDir dir;
+  const std::string prefix = dir.path() + "/journal";
+  WriteMixedJournal(prefix, 6);
+  const std::string bytes = ReadFile(prefix + ".log");
+  WriteFile(prefix + ".log", bytes.substr(bytes.find('\n') + 1));
+  EXPECT_DEATH({ LifecycleJournal journal(prefix); }, "journal seq gap");
+}
+
 #if QASCA_ENABLE_FAILPOINTS
 
 class CrashPointTest : public ::testing::Test {
@@ -359,9 +499,9 @@ class CrashPointTest : public ::testing::Test {
 // Runs `events` lifecycle steps, arms `fail_point` before the final step so
 // that step's journal append is lost/torn, and verifies recovery lands on
 // the state just before the lost step.
-void RunCrashPoint(const char* name, const std::string& fail_point) {
-  const std::string prefix = FreshJournalPrefix(name);
-  const AppConfig config = LeaseConfig(prefix);
+void RunCrashPoint(const std::string& fail_point) {
+  ScopedTestDir dir;
+  const AppConfig config = LeaseConfig(dir.path() + "/app");
 
   auto engine = MakeEngine(config);
   for (WorkerId worker = 0; worker < 2; ++worker) {
@@ -375,6 +515,9 @@ void RunCrashPoint(const char* name, const std::string& fail_point) {
   ASSERT_TRUE(engine->RequestHit(5).ok());  // this append never survives
   EXPECT_EQ(util::FailPoints::Global().TriggeredCount(fail_point), 1u);
   EXPECT_GE(CounterValue(*engine, "failpoint.triggered"), 1);
+  // Nothing is written past the lost record.
+  EXPECT_EQ(engine->RequestHit(6).status().code(),
+            util::StatusCode::kInternal);
   engine.reset();
   util::FailPoints::Global().DisarmAll();
 
@@ -386,40 +529,47 @@ void RunCrashPoint(const char* name, const std::string& fail_point) {
 }
 
 TEST_F(CrashPointTest, DroppedAppendLosesOnlyTheTail) {
-  RunCrashPoint("crash_drop", "journal.drop_append");
+  RunCrashPoint("journal.drop_append");
 }
 
 TEST_F(CrashPointTest, TornAppendLosesOnlyTheTail) {
-  RunCrashPoint("crash_torn", "journal.torn_append");
+  RunCrashPoint("journal.torn_append");
 }
 
-TEST_F(CrashPointTest, CrashBetweenCompactionRenameAndTruncateDedupes) {
-  const std::string prefix = FreshJournalPrefix("crash_compact");
-  const AppConfig config = LeaseConfig(prefix);
-  uint64_t fingerprint = 0;
-  {
-    auto engine = MakeEngine(config);
-    for (WorkerId worker = 0; worker < 2; ++worker) {
-      auto hit = engine->RequestHit(worker);
-      ASSERT_TRUE(hit.ok());
-      ASSERT_TRUE(engine->CompleteHit(worker, LabelsFor(*hit)).ok());
-    }
-    fingerprint = engine->StateFingerprint();
-  }
-  // The next engine's construction-time compaction renames the snapshot
-  // but "crashes" before truncating the log: the log now repeats events
-  // the snapshot already covers.
-  util::FailPoints::Global().Arm("journal.compact_skip_truncate");
-  {
-    auto engine = MakeEngine(config);
-    ASSERT_TRUE(engine->Recover().ok());
-    EXPECT_EQ(engine->StateFingerprint(), fingerprint);
-  }
-  util::FailPoints::Global().DisarmAll();
-  // And the stale log entries must be deduped by seq on the next load too.
+using CrashPointDeathTest = CrashPointTest;
+
+// A write the stream reports as failed is fail-stop: that append and every
+// later one return Internal (a Tick, which has no error channel, aborts),
+// and recovery lands on the last acknowledged state.
+TEST_F(CrashPointDeathTest, FailedAppendRefusesEveryLaterAppend) {
+  ScopedTestDir dir;
+  const AppConfig config = LeaseConfig(dir.path() + "/app");
   auto engine = MakeEngine(config);
-  ASSERT_TRUE(engine->Recover().ok());
-  EXPECT_EQ(engine->StateFingerprint(), fingerprint);
+  for (WorkerId worker = 0; worker < 2; ++worker) {
+    auto hit = engine->RequestHit(worker);
+    ASSERT_TRUE(hit.ok());
+    ASSERT_TRUE(engine->CompleteHit(worker, LabelsFor(*hit)).ok());
+  }
+  auto open = engine->RequestHit(9);
+  ASSERT_TRUE(open.ok());
+  const uint64_t acknowledged = engine->StateFingerprint();
+
+  util::FailPoints::Global().Arm("journal.fail_append");
+  EXPECT_EQ(engine->RequestHit(5).status().code(),
+            util::StatusCode::kInternal);
+  EXPECT_EQ(util::FailPoints::Global().TriggeredCount("journal.fail_append"),
+            1u);
+  util::FailPoints::Global().DisarmAll();
+  EXPECT_EQ(engine->RequestHit(6).status().code(),
+            util::StatusCode::kInternal);
+  EXPECT_EQ(engine->CompleteHit(9, LabelsFor(*open)).code(),
+            util::StatusCode::kInternal);
+  EXPECT_DEATH(engine->Tick(1), "journal append failed");
+  engine.reset();
+
+  auto recovered = MakeEngine(config);
+  ASSERT_TRUE(recovered->Recover().ok());
+  EXPECT_EQ(recovered->StateFingerprint(), acknowledged);
 }
 
 #endif  // QASCA_ENABLE_FAILPOINTS

@@ -98,7 +98,7 @@ class LockAnnotationsPass:
     def _check_thread_contract(self, source: SourceFile) -> list[Finding]:
         match = CLASS_DEFINITION.search(source.code)
         if match is None:
-            return []  # free functions only (e.g. storage.h)
+            return []  # free functions only
         if THREAD_CONTRACT in source.text:
             return []
         return [Finding(

@@ -68,7 +68,8 @@
 #      each plus one traced serve_4app run, each of which must report
 #      "correct": true (decision hashes, fingerprints and scripted counts)
 #  13. telemetry-overhead smoke: disabled-telemetry instrumentation on a
-#      hot loop must cost < 2%; also drives the enabled+flight-recorder
+#      hot loop must cost < 2%, as the median over 101 back-to-back
+#      bare/instrumented pairs; also drives the enabled+flight-recorder
 #      path (informational cost, recorder must capture events)
 #
 # Usage:
