@@ -42,8 +42,8 @@ struct AssignmentRequest {
   /// reductions — see util/thread_pool.h).
   util::ThreadPool* pool = nullptr;
   /// Optional telemetry registry (stage spans, candidate/iteration
-  /// counters); nullptr or disabled records nothing and never influences
-  /// the selection.
+  /// counters); nullptr records nothing, a disabled registry reads no
+  /// clock, and neither influences the selection.
   util::MetricRegistry* telemetry = nullptr;
   /// Whether the Top-K benefit algorithms should also evaluate the
   /// objective F(Q^X*) (an O(n) row-quality sweep per request on top of

@@ -23,17 +23,20 @@ void WorkerLikelihoods::Rebuild(const WorkerModel& model) {
   }
 }
 
+LikelihoodCache::LikelihoodCache(util::Counter* hits, util::Counter* misses)
+    : hits_counter_(hits), misses_counter_(misses) {
+  QASCA_CHECK(hits_counter_ != nullptr && misses_counter_ != nullptr);
+}
+
 const WorkerLikelihoods& LikelihoodCache::Get(WorkerId worker,
                                               const WorkerModel& model) {
   auto it = entries_.find(worker);
   if (it != entries_.end()) {
     QASCA_DCHECK_EQ(it->second.num_labels(), model.num_labels());
-    ++hits_;
-    if (hits_counter_ != nullptr) hits_counter_->Add(1);
+    hits_counter_->Add(1);
     return it->second;
   }
-  ++misses_;
-  if (misses_counter_ != nullptr) misses_counter_->Add(1);
+  misses_counter_->Add(1);
   return entries_.emplace(worker, WorkerLikelihoods::FromModel(model))
       .first->second;
 }

@@ -63,12 +63,10 @@ using LikelihoodLookup = std::function<const WorkerLikelihoods&(WorkerId)>;
 /// references stay valid until the next Invalidate().
 class LikelihoodCache {
  public:
-  /// Optional hit/miss counters (tnames::kQwLikelihoodCacheHits/Misses);
-  /// either may be nullptr. The engine wires these from its registry.
-  void AttachCounters(util::Counter* hits, util::Counter* misses) {
-    hits_counter_ = hits;
-    misses_counter_ = misses;
-  }
+  /// `hits` and `misses` (tnames::kQwLikelihoodCacheHits/Misses from the
+  /// engine's registry) are the cache's only hit/miss counts; neither may
+  /// be null, and both must outlive the cache.
+  LikelihoodCache(util::Counter* hits, util::Counter* misses);
 
   /// The memoised table for `worker`, building it from `model` on miss.
   /// `model` must be the worker's current model — the caller's contract is
@@ -82,17 +80,15 @@ class LikelihoodCache {
   /// Refit generation: how many times Invalidate() has run. Entries never
   /// survive a generation bump (invalidation-on-refit unit tests).
   uint64_t generation() const noexcept { return generation_; }
-  int64_t hits() const noexcept { return hits_; }
-  int64_t misses() const noexcept { return misses_; }
+  int64_t hits() const noexcept { return hits_counter_->value(); }
+  int64_t misses() const noexcept { return misses_counter_->value(); }
   int size() const noexcept { return static_cast<int>(entries_.size()); }
 
  private:
   std::unordered_map<WorkerId, WorkerLikelihoods> entries_;
-  util::Counter* hits_counter_ = nullptr;
-  util::Counter* misses_counter_ = nullptr;
+  util::Counter* hits_counter_;
+  util::Counter* misses_counter_;
   uint64_t generation_ = 0;
-  int64_t hits_ = 0;
-  int64_t misses_ = 0;
 };
 
 }  // namespace qasca

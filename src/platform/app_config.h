@@ -63,9 +63,11 @@ struct AppConfig {
   /// Enables the engine's telemetry layer (util::MetricRegistry): per-stage
   /// latency spans (assign_hit, estimate_qw, em_full_refit, ...), hot-path
   /// counters (EM iterations, Dinkelbach iterations, Qw samples) and gauges.
-  /// OFF by default; when disabled every instrument is a dead branch and no
-  /// clock is read, and decisions are byte-identical either way (telemetry
-  /// never touches the RNG streams — guarded by the determinism suite).
+  /// OFF by default; when disabled no clock is read and the latency
+  /// instruments stay empty, while counters and gauges still record (they
+  /// are the engine's only counts of its events). Decisions are
+  /// byte-identical either way (telemetry never touches the RNG streams —
+  /// guarded by the determinism suite).
   bool telemetry_enabled = false;
   /// Assignment-lease timeout in virtual-clock ticks: a HIT not completed
   /// within this many ticks of its assignment (time advances only through

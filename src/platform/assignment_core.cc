@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
 #include "model/posterior.h"
 #include "util/invariants.h"
@@ -20,21 +19,22 @@ AssignmentCore::AssignmentCore(const AppConfig* config,
       strategy_(std::move(strategy)),
       metric_(config_.metric.Make()),
       database_(config_.num_questions, config_.num_labels),
-      rng_(seed) {
+      rng_(seed),
+      likelihood_cache_(
+          telemetry->GetCounter(util::tnames::kQwLikelihoodCacheHits),
+          telemetry->GetCounter(util::tnames::kQwLikelihoodCacheMisses)),
+      em_full_refits_counter_(
+          telemetry->GetCounter(util::tnames::kEmFullRefits)),
+      em_incremental_refreshes_counter_(
+          telemetry->GetCounter(util::tnames::kEmIncrementalRefreshes)),
+      last_refresh_drift_gauge_(
+          telemetry->GetGauge(util::tnames::kLastRefreshDrift)) {
   QASCA_CHECK(strategy_ != nullptr);
   if (config_.num_threads > 1) {
     pool_ = std::make_unique<util::ThreadPool>(config_.num_threads);
     pool_->AttachTelemetry(&telemetry_);
   }
   database_.AttachTelemetry(&telemetry_);
-  em_full_refits_counter_ = telemetry_.GetCounter(util::tnames::kEmFullRefits);
-  em_incremental_refreshes_counter_ =
-      telemetry_.GetCounter(util::tnames::kEmIncrementalRefreshes);
-  last_refresh_drift_gauge_ =
-      telemetry_.GetGauge(util::tnames::kLastRefreshDrift);
-  likelihood_cache_.AttachCounters(
-      telemetry_.GetCounter(util::tnames::kQwLikelihoodCacheHits),
-      telemetry_.GetCounter(util::tnames::kQwLikelihoodCacheMisses));
 }
 
 util::StatusOr<AssignmentCore::Decision> AssignmentCore::Decide(
@@ -60,8 +60,9 @@ util::StatusOr<AssignmentCore::Decision> AssignmentCore::Decide(
   context.telemetry = &telemetry_;
   context.likelihood_cache = &likelihood_cache_;
   context.provenance = provenance;
-  // The cache-hit bit comes from the cache's own lifetime counters
-  // (telemetry-independent), read as a delta around the strategy call.
+  // The cache-hit bit comes from the cache's hit counter, which counts
+  // whether or not telemetry is enabled, read as a delta around the
+  // strategy call.
   const int64_t cache_hits_before = likelihood_cache_.hits();
 
   Decision decision;
@@ -90,7 +91,8 @@ util::StatusOr<AssignmentCore::Decision> AssignmentCore::Decide(
     provenance->candidates = decision.candidates;
     provenance->likelihood_cache_hit =
         likelihood_cache_.hits() > cache_hits_before;
-    provenance->em_generation = static_cast<uint64_t>(full_em_refits_);
+    provenance->em_generation =
+        static_cast<uint64_t>(em_full_refits_counter_->value());
   }
   return decision;
 }
@@ -157,7 +159,6 @@ void AssignmentCore::ApplyCompletion(
       completions_since_refit_ >= config_.em_refresh_interval) {
     RunFullEmRefit();
   } else {
-    ++incremental_refreshes_;
     em_incremental_refreshes_counter_->Add(1);
   }
 }
@@ -170,41 +171,38 @@ void AssignmentCore::WarmSharedState() {
 
 void AssignmentCore::RunFullEmRefit() {
   util::Span span(&telemetry_, util::tnames::kSpanEmFullRefit);
-  const bool check_drift = incremental_since_refit_;
-  // The incremental Qc is only needed by the drift check below.
-  std::optional<DistributionMatrix> incremental;
-  if (check_drift) incremental = database_.current();
-  database_.SetParameters(
+  EmResult fit =
       config_.warm_start_em
           ? RunEmWarmStart(database_.answers(), config_.num_labels,
                            config_.em, database_.parameters(), pool_.get(),
                            &telemetry_)
           : RunEm(database_.answers(), config_.num_labels, config_.em,
-                  pool_.get(), &telemetry_));
-  // The refreshed Qc is what every later assignment decision reads; a
-  // denormalised row here corrupts all of them without crashing.
-  QASCA_DCHECK_OK(invariants::CheckDistributionMatrix(database_.current()));
-  if (check_drift) {
+                  pool_.get(), &telemetry_);
+  if (incremental_since_refit_) {
     // Always-on incremental-agreement invariant: the Qc the incremental
-    // path maintained must agree with the full refit within the configured
-    // tolerance. A violation means the incremental updates diverged from
-    // the model (stale rows, wrong parameters), not floating-point noise.
-    const DistributionMatrix& refit = database_.current();
+    // path maintained (still current until the fit replaces it) must agree
+    // with the full refit within the configured tolerance. A violation
+    // means the incremental updates diverged from the model (stale rows,
+    // wrong parameters), not floating-point noise.
+    const DistributionMatrix& refit = fit.posterior;
+    const DistributionMatrix& incremental = database_.current();
     double drift = 0.0;
     for (int i = 0; i < refit.num_questions(); ++i) {
       for (int j = 0; j < refit.num_labels(); ++j) {
         drift = std::max(drift,
-                         std::fabs(refit.At(i, j) - incremental->At(i, j)));
+                         std::fabs(refit.At(i, j) - incremental.At(i, j)));
       }
     }
-    last_refresh_drift_ = drift;
     max_refresh_drift_ = std::max(max_refresh_drift_, drift);
     last_refresh_drift_gauge_->Set(drift);
     QASCA_CHECK(drift <= config_.em_drift_tolerance)
         << "incremental Qc drifted" << drift << "from the full EM refit"
         << "(tolerance" << config_.em_drift_tolerance << ")";
   }
-  ++full_em_refits_;
+  database_.SetParameters(std::move(fit));
+  // The refreshed Qc is what every later assignment decision reads; a
+  // denormalised row here corrupts all of them without crashing.
+  QASCA_DCHECK_OK(invariants::CheckDistributionMatrix(database_.current()));
   em_full_refits_counter_->Add(1);
   completions_since_refit_ = 0;
   incremental_since_refit_ = false;

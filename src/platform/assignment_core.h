@@ -39,8 +39,9 @@ namespace qasca {
 class AssignmentCore {
  public:
   /// `config` must outlive the core and must already Validate();
-  /// `telemetry` is the owning engine's registry (never null — a disabled
-  /// registry is a valid no-op sink) and must outlive the core. `seed`
+  /// `telemetry` is the owning engine's registry (never null; its counters
+  /// are the core's refit and cache counts whether or not it is enabled)
+  /// and must outlive the core. `seed`
   /// drives all stochastic choices (Qw sampling, tie-breaking)
   /// deterministically.
   AssignmentCore(const AppConfig* config,
@@ -114,13 +115,17 @@ class AssignmentCore {
   const AssignmentStrategy& strategy() const { return *strategy_; }
 
   /// Completions served by the cheap incremental path vs full EM refits.
-  int full_em_refits() const noexcept { return full_em_refits_; }
+  int full_em_refits() const noexcept {
+    return static_cast<int>(em_full_refits_counter_->value());
+  }
   int incremental_refreshes() const noexcept {
-    return incremental_refreshes_;
+    return static_cast<int>(em_incremental_refreshes_counter_->value());
   }
   /// Max absolute Qc cell difference between the incremental posterior and
   /// the full refit that superseded it (see TaskAssignmentEngine).
-  double last_refresh_drift() const noexcept { return last_refresh_drift_; }
+  double last_refresh_drift() const noexcept {
+    return last_refresh_drift_gauge_->value();
+  }
   double max_refresh_drift() const noexcept { return max_refresh_drift_; }
 
  private:
@@ -150,17 +155,16 @@ class AssignmentCore {
   /// (invalidated by RunFullEmRefit alongside the typical-worker cache).
   LikelihoodCache likelihood_cache_;
   std::optional<WorkerModel> typical_worker_;
-  util::Counter* em_full_refits_counter_ = nullptr;
-  util::Counter* em_incremental_refreshes_counter_ = nullptr;
-  util::Gauge* last_refresh_drift_gauge_ = nullptr;
-  int full_em_refits_ = 0;
-  int incremental_refreshes_ = 0;
+  /// The registry instruments are the only record of the refresh counts
+  /// and the latest drift.
+  util::Counter* em_full_refits_counter_;
+  util::Counter* em_incremental_refreshes_counter_;
+  util::Gauge* last_refresh_drift_gauge_;
   /// Completions since the last full EM refit.
   int completions_since_refit_ = 0;
   /// Whether any incremental row update has been applied since the last
   /// full refit — gates the drift invariant.
   bool incremental_since_refit_ = false;
-  double last_refresh_drift_ = 0.0;
   double max_refresh_drift_ = 0.0;
 };
 

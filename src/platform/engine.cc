@@ -79,8 +79,8 @@ TaskAssignmentEngine::TaskAssignmentEngine(
   // no-op when unset or when fail points are compiled out.
   util::FailPoints::Global().ArmFromEnv();
   // The decision core: owns the database, the strategy, the RNG stream and
-  // the EM refresh machinery. Constructed after the registry so its
-  // instruments resolve against the live/disabled state decided above.
+  // the EM refresh machinery. Constructed after the registry, which its
+  // instruments resolve against.
   core_ = std::make_unique<AssignmentCore>(&config_, std::move(strategy),
                                            seed, &telemetry_);
   instruments_.hits_assigned =
@@ -115,18 +115,19 @@ util::StatusOr<std::vector<QuestionIndex>> TaskAssignmentEngine::RequestHit(
     return util::Status::FailedPrecondition(
         "worker already holds an open HIT");
   }
-  // Request-scoped trace id: stamped onto every span event this request
-  // records and onto its provenance record. Advances unconditionally so
-  // observability flags never shift the ids a later request would get.
-  const uint64_t trace_id = next_trace_id_++;
-  util::TraceScope trace_scope(trace_id);
+  // The seq this assignment's journal line gets: the trace id stamped onto
+  // every span event of the request, the HIT id and the provenance
+  // record's journal_seq. A request rejected below journals nothing and
+  // consumes no seq, so its spans carry the seq of the next event applied.
+  const uint64_t seq = next_seq_;
+  util::TraceScope trace_scope(seq);
   // Root span of the HIT-request workflow; every stage below (estimate_qw,
   // topk_scan / fscore_online -> dinkelbach_inner) nests inside it.
   util::Span span(&telemetry_, util::tnames::kSpanAssignHit);
 
   // Decision provenance: the strategy fills the selection scores and the
-  // core fills the decision-input fields; the identity fields are filled
-  // below once the assignment is journaled.
+  // core fills the decision-input fields; the shell fills the rest below
+  // once the assignment is journaled.
   DecisionProvenance provenance_record;
   util::Stopwatch stopwatch;
   util::StatusOr<AssignmentCore::Decision> decision = core_->Decide(
@@ -136,12 +137,9 @@ util::StatusOr<std::vector<QuestionIndex>> TaskAssignmentEngine::RequestHit(
     // it does not contribute an assignment-latency sample.
     return decision.status();
   }
-  last_assignment_seconds_ = stopwatch.ElapsedSeconds();
-  max_assignment_seconds_ =
-      std::max(max_assignment_seconds_, last_assignment_seconds_);
-  if (assign_slo_ != nullptr) {
-    assign_slo_->RecordSeconds(last_assignment_seconds_);
-  }
+  const double decision_seconds = stopwatch.ElapsedSeconds();
+  max_assignment_seconds_ = std::max(max_assignment_seconds_, decision_seconds);
+  if (assign_slo_ != nullptr) assign_slo_->RecordSeconds(decision_seconds);
   std::vector<QuestionIndex> selected = std::move(decision->questions);
 
   // Write-ahead: the event must be journaled before any engine state mutates,
@@ -149,15 +147,16 @@ util::StatusOr<std::vector<QuestionIndex>> TaskAssignmentEngine::RequestHit(
   // the live engine agree the event never happened.
   if (journal_ != nullptr && !replaying_) {
     QASCA_RETURN_IF_ERROR(journal_->AppendAssign(worker, selected));
+    QASCA_DCHECK_EQ(journal_->last_seq(), seq);
   }
+  ++next_seq_;
   core_->CommitAssignment(worker, selected);
   OpenHit hit;
-  hit.hit_id = next_hit_id_++;
+  hit.hit_id = seq;
   hit.deadline = config_.lease_timeout_ticks == 0
                      ? kLeaseNever
                      : now_ticks_ + config_.lease_timeout_ticks;
   hit.questions = selected;
-  const uint64_t hit_id = hit.hit_id;
   const uint64_t lease_deadline = hit.deadline;
   open_hits_.emplace(worker, std::move(hit));
   // A new HIT supersedes any earlier expired lease: the late-completion
@@ -171,14 +170,9 @@ util::StatusOr<std::vector<QuestionIndex>> TaskAssignmentEngine::RequestHit(
     // Appended after the assignment is journaled, and during replay too:
     // provenance is re-derivable audit state, rebuilt by recovery replay,
     // so counts stay consistent across crashes.
-    provenance_record.trace_id = trace_id;
-    provenance_record.hit_id = hit_id;
+    provenance_record.journal_seq = seq;
     provenance_record.worker = worker;
     provenance_record.questions = selected;
-    provenance_record.journal_seq =
-        journal_ == nullptr ? 0
-        : replaying_       ? replay_journal_seq_
-                           : journal_->last_seq();
     provenance_record.now_ticks = now_ticks_;
     provenance_record.lease_deadline = lease_deadline;
     provenance_->Record(std::move(provenance_record));
@@ -215,14 +209,12 @@ util::Status TaskAssignmentEngine::CompleteHit(
     auto completed = last_completion_.find(worker);
     if (completed != last_completion_.end() &&
         completed->second.answers_hash == HashLabels(labels)) {
-      ++duplicates_dropped_;
       instruments_.duplicate_dropped->Add(1);
       return util::Status::AlreadyExists(
           "duplicate completion of HIT " +
           std::to_string(completed->second.hit_id) + " dropped");
     }
     if (expired_pending_.contains(worker)) {
-      ++late_completions_rejected_;
       instruments_.late_completion_rejected->Add(1);
       return util::Status::FailedPrecondition(
           "lease expired before completion; answers rejected");
@@ -239,11 +231,9 @@ util::Status TaskAssignmentEngine::CompleteHit(
       return util::Status::InvalidArgument("answer label out of range");
     }
   }
-  // Fresh trace id for the completion workflow, advanced unconditionally so
-  // observability flags can never shift the id sequence (and with it any
-  // trace-correlated output) between configurations.
-  const uint64_t trace_id = next_trace_id_++;
-  util::TraceScope trace_scope(trace_id);
+  // The completion's journal seq is its trace id, as in RequestHit.
+  const uint64_t seq = next_seq_;
+  util::TraceScope trace_scope(seq);
   // Root span of the HIT-completion workflow (steps A-C); em_full_refit /
   // incremental_refresh nest inside it.
   util::Span span(&telemetry_, util::tnames::kSpanCompleteHit);
@@ -251,12 +241,13 @@ util::Status TaskAssignmentEngine::CompleteHit(
   // completion the journal lost is a completion that never happened.
   if (journal_ != nullptr && !replaying_) {
     QASCA_RETURN_IF_ERROR(journal_->AppendComplete(worker, labels));
+    QASCA_DCHECK_EQ(journal_->last_seq(), seq);
   }
+  ++next_seq_;
   std::vector<QuestionIndex> touched = it->second.questions;
   last_completion_[worker] =
       CompletedHit{it->second.hit_id, HashLabels(labels)};
   open_hits_.erase(it);
-  ++completed_hits_;
   instruments_.hits_completed->Add(1);
   instruments_.open_hits->Set(static_cast<double>(open_hits_.size()));
   // Steps A-C run in the core: append the answers to D, then refresh Qc
@@ -273,7 +264,9 @@ int TaskAssignmentEngine::Tick(uint64_t ticks) {
   // journal must never allow. Fatal, so the operator restarts into Recover.
   if (journal_ != nullptr && !replaying_) {
     QASCA_CHECK_OK(journal_->AppendTick(ticks));
+    QASCA_DCHECK_EQ(journal_->last_seq(), next_seq_);
   }
+  ++next_seq_;
   // Collect the expired workers with an explicit iterator walk and process
   // them in ascending-id order: expiry requeues questions and is replayed
   // during recovery, so its effects must not depend on unordered_map
@@ -286,7 +279,6 @@ int TaskAssignmentEngine::Tick(uint64_t ticks) {
   for (WorkerId worker : expired) {
     const OpenHit& hit = open_hits_.at(worker);
     core_->ReleaseAssignment(worker, hit.questions);
-    questions_requeued_ += static_cast<int>(hit.questions.size());
     instruments_.questions_requeued->Add(
         static_cast<int64_t>(hit.questions.size()));
     open_hits_.erase(worker);
@@ -294,7 +286,6 @@ int TaskAssignmentEngine::Tick(uint64_t ticks) {
     // Refund the budget: the HIT was never completed, so it is never paid
     // for. This keeps assigned_hits == completed_hits + open_hit_count.
     --assigned_hits_;
-    ++leases_expired_;
     instruments_.lease_expired->Add(1);
   }
   if (!expired.empty()) {
@@ -309,12 +300,11 @@ util::Status TaskAssignmentEngine::Recover() {
     return util::Status::FailedPrecondition(
         "recovery requires AppConfig::persistence_path");
   }
-  // A fresh engine has issued no HIT id and never ticked. Both only grow,
-  // unlike assigned_hits_, which lease expiry refunds.
-  QASCA_CHECK(next_hit_id_ == 0 && now_ticks_ == 0)
+  // A fresh engine has applied no event. The seq only grows, unlike
+  // assigned_hits_, which lease expiry refunds.
+  QASCA_CHECK(next_seq_ == 0)
       << "Recover must run on a freshly constructed engine";
   replaying_ = true;
-  replay_journal_seq_ = 0;
   util::Status status = ReplayLoadedEvents();
   replaying_ = false;
   // Replayed events live on in the journal's file, not in memory.
@@ -324,6 +314,9 @@ util::Status TaskAssignmentEngine::Recover() {
 
 util::Status TaskAssignmentEngine::ReplayLoadedEvents() {
   for (const LifecycleJournal::Event& event : journal_->events()) {
+    // Each applied event consumes one seq, so the replay numbers every
+    // event with the seq the live run gave it.
+    QASCA_CHECK_EQ(event.seq, next_seq_);
     switch (event.kind) {
       case LifecycleJournal::Event::Kind::kAssign: {
         util::StatusOr<std::vector<QuestionIndex>> selected =
@@ -344,7 +337,6 @@ util::Status TaskAssignmentEngine::ReplayLoadedEvents() {
         break;
     }
     instruments_.journal_events_replayed->Add(1);
-    ++replay_journal_seq_;
   }
   return util::Status::Ok();
 }
@@ -362,9 +354,9 @@ uint64_t TaskAssignmentEngine::HashLabels(
 uint64_t TaskAssignmentEngine::StateFingerprint() const {
   uint64_t hash = kFnvOffset;
   hash = FnvMix(hash, static_cast<uint64_t>(assigned_hits_));
-  hash = FnvMix(hash, static_cast<uint64_t>(completed_hits_));
+  hash = FnvMix(hash, static_cast<uint64_t>(completed_hits()));
   hash = FnvMix(hash, now_ticks_);
-  hash = FnvMix(hash, next_hit_id_);
+  hash = FnvMix(hash, next_seq_);
   // Open leases, folded in ascending worker order (determinism pass: the
   // fingerprint must not depend on bucket layout).
   std::vector<WorkerId> workers;

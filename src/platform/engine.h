@@ -43,6 +43,15 @@ namespace qasca {
 /// a pure function of (config, seed, event history); everything the shell
 /// adds is re-derivable bookkeeping.
 ///
+/// One id and one count per event (DESIGN.md §9, §13): each assign,
+/// complete and tick the engine applies is numbered with the seq of its
+/// journal line, counted the same way when there is no journal, and that
+/// seq is the request's trace id, the HIT id and the provenance record's
+/// journal_seq. A request rejected after its spans open journals nothing,
+/// so those spans carry the seq of the next event applied. Each lifecycle
+/// count lives only in a registry counter, which counts whether or not
+/// telemetry is enabled; the accessors below read it.
+///
 /// Performance model (DESIGN.md "Threading and incrementality"): with
 /// AppConfig::num_threads > 1 the core owns a fixed-size thread pool that
 /// the hot kernels (EM E-step, Qw estimation, benefit scans) chunk work
@@ -148,9 +157,10 @@ class TaskAssignmentEngine {
   const AssignmentCore& core() const { return *core_; }
   /// The engine's telemetry registry: per-stage latency spans, hot-path
   /// counters and gauges. Strategies and kernels record into it through
-  /// StrategyContext / AssignmentRequest. Live when
+  /// StrategyContext / AssignmentRequest. Counters and gauges always
+  /// record; spans and latency instruments are live when
   /// AppConfig::telemetry_enabled — or when the flight recorder or the SLO
-  /// tracker needs it (both ride the span machinery).
+  /// tracker needs them (both ride the span machinery).
   const util::MetricRegistry& telemetry() const { return telemetry_; }
   /// The flight recorder capturing span begin/end events for trace export
   /// (Chrome/Perfetto JSON); nullptr unless
@@ -169,7 +179,7 @@ class TaskAssignmentEngine {
     return assign_slo_.get();
   }
   /// Point-in-time copy of every instrument (name-sorted); the programmatic
-  /// form behind MetricRegistry::ToJson() / ToPrometheusText().
+  /// form behind MetricRegistry::ToJson().
   util::TelemetrySnapshot TelemetrySnapshot() const {
     return telemetry_.Snapshot();
   }
@@ -177,7 +187,9 @@ class TaskAssignmentEngine {
   const AssignmentStrategy& strategy() const { return core_->strategy(); }
 
   int assigned_hits() const noexcept { return assigned_hits_; }
-  int completed_hits() const noexcept { return completed_hits_; }
+  int completed_hits() const noexcept {
+    return static_cast<int>(instruments_.hits_completed->value());
+  }
   /// HITs currently assigned but neither completed nor expired. Always
   /// equals assigned_hits() - completed_hits() (the accounting invariant
   /// the lifecycle stress harness checks after every event).
@@ -186,12 +198,19 @@ class TaskAssignmentEngine {
   }
   /// Current virtual-clock time; advances only through Tick().
   uint64_t now_ticks() const noexcept { return now_ticks_; }
-  /// Lifecycle fault counters (also exported as telemetry when enabled).
-  int leases_expired() const noexcept { return leases_expired_; }
-  int questions_requeued() const noexcept { return questions_requeued_; }
-  int duplicates_dropped() const noexcept { return duplicates_dropped_; }
+  /// Lifecycle fault counts, read from the registry counters that are
+  /// their only record.
+  int leases_expired() const noexcept {
+    return static_cast<int>(instruments_.lease_expired->value());
+  }
+  int questions_requeued() const noexcept {
+    return static_cast<int>(instruments_.questions_requeued->value());
+  }
+  int duplicates_dropped() const noexcept {
+    return static_cast<int>(instruments_.duplicate_dropped->value());
+  }
   int late_completions_rejected() const noexcept {
-    return late_completions_rejected_;
+    return static_cast<int>(instruments_.late_completion_rejected->value());
   }
 
   /// FNV-1a fingerprint of every piece of state an assignment decision can
@@ -206,12 +225,9 @@ class TaskAssignmentEngine {
   }
   bool BudgetExhausted() const noexcept { return remaining_hits() <= 0; }
 
-  /// Wall-clock seconds spent deciding the most recent / slowest HIT
-  /// request — the full decision path the shard lock covers (candidate
-  /// scan + strategy selection); Figure 6(a) reports the worst case.
-  double last_assignment_seconds() const noexcept {
-    return last_assignment_seconds_;
-  }
+  /// Wall-clock seconds spent deciding the slowest HIT request — the full
+  /// decision path the shard lock covers (candidate scan + strategy
+  /// selection); Figure 6(a) reports the worst case.
   double max_assignment_seconds() const noexcept {
     return max_assignment_seconds_;
   }
@@ -237,7 +253,8 @@ class TaskAssignmentEngine {
  private:
   /// An assigned, not-yet-completed HIT: the lease the worker holds.
   struct OpenHit {
-    /// Monotone per-engine id; names the HIT in duplicate-drop diagnostics.
+    /// The seq of the assignment event; names the HIT in duplicate-drop
+    /// diagnostics.
     uint64_t hit_id = 0;
     /// Virtual-clock tick at which the lease expires; kLeaseNever when
     /// AppConfig::lease_timeout_ticks == 0.
@@ -290,10 +307,6 @@ class TaskAssignmentEngine {
   /// The pure decision core (always non-null; constructed after config_ is
   /// validated and telemetry_ is live, destroyed before both).
   std::unique_ptr<AssignmentCore> core_;
-  /// Request-scoped trace ids: advances on every RequestHit/CompleteHit
-  /// regardless of observability flags (pure bookkeeping, never feeds a
-  /// decision — the determinism suite pins this).
-  uint64_t next_trace_id_ = 0;
   std::unordered_map<WorkerId, OpenHit> open_hits_;
   std::unordered_map<WorkerId, CompletedHit> last_completion_;
   /// Workers whose lease expired and who have not requested a new HIT yet;
@@ -301,21 +314,15 @@ class TaskAssignmentEngine {
   std::unordered_set<WorkerId> expired_pending_;
   /// Virtual-clock time; advances only through Tick().
   uint64_t now_ticks_ = 0;
-  uint64_t next_hit_id_ = 0;
+  /// Seq of the next event the engine applies: the seq its journal line
+  /// gets, counted the same way without a journal. Never feeds a decision.
+  uint64_t next_seq_ = 0;
   /// True while Recover() re-executes journaled events, so the replay does
   /// not re-append them.
   bool replaying_ = false;
-  /// Journal index of the event Recover() is currently re-executing; lets
-  /// replayed provenance records carry the same journal_seq the live run
-  /// recorded.
-  uint64_t replay_journal_seq_ = 0;
+  /// Net HITs assigned: lease expiry refunds them, so this is not a count
+  /// of assignment events (that is the hits_assigned counter).
   int assigned_hits_ = 0;
-  int completed_hits_ = 0;
-  int leases_expired_ = 0;
-  int questions_requeued_ = 0;
-  int duplicates_dropped_ = 0;
-  int late_completions_rejected_ = 0;
-  double last_assignment_seconds_ = 0.0;
   double max_assignment_seconds_ = 0.0;
 };
 

@@ -112,12 +112,8 @@ util::Status ParseArray(std::string_view line, std::string_view key,
 }
 
 void AppendRecordJson(std::string& out, const DecisionProvenance& record) {
-  out += "{\"seq\":";
-  out += std::to_string(record.seq);
-  out += ",\"trace\":";
-  out += std::to_string(record.trace_id);
-  out += ",\"hit\":";
-  out += std::to_string(record.hit_id);
+  out += "{\"journal_seq\":";
+  out += std::to_string(record.journal_seq);
   out += ",\"worker\":";
   out += std::to_string(record.worker);
   out += ",\"questions\":[";
@@ -142,8 +138,6 @@ void AppendRecordJson(std::string& out, const DecisionProvenance& record) {
   out += record.likelihood_cache_hit ? "true" : "false";
   out += ",\"em_generation\":";
   out += std::to_string(record.em_generation);
-  out += ",\"journal_seq\":";
-  out += std::to_string(record.journal_seq);
   out += ",\"ticks\":";
   out += std::to_string(record.now_ticks);
   out += ",\"deadline\":";
@@ -151,10 +145,11 @@ void AppendRecordJson(std::string& out, const DecisionProvenance& record) {
   out += "}";
 }
 
+// Keys of older dumps that no field reads any more ("seq", "trace", "hit",
+// "kernel_isa", "kernel_isa_name") are skipped like any unknown key.
 util::Status ParseRecord(std::string_view line, DecisionProvenance* record) {
-  QASCA_RETURN_IF_ERROR(ParseU64(line, "seq", &record->seq));
-  QASCA_RETURN_IF_ERROR(ParseU64(line, "trace", &record->trace_id));
-  QASCA_RETURN_IF_ERROR(ParseU64(line, "hit", &record->hit_id));
+  QASCA_RETURN_IF_ERROR(
+      ParseU64(line, "journal_seq", &record->journal_seq));
   QASCA_RETURN_IF_ERROR(ParseInt(line, "worker", &record->worker));
   QASCA_RETURN_IF_ERROR(ParseArray(line, "questions", &record->questions));
   QASCA_RETURN_IF_ERROR(ParseArray(line, "scores", &record->scores));
@@ -168,8 +163,6 @@ util::Status ParseRecord(std::string_view line, DecisionProvenance* record) {
       ParseBool(line, "cache_hit", &record->likelihood_cache_hit));
   QASCA_RETURN_IF_ERROR(
       ParseU64(line, "em_generation", &record->em_generation));
-  QASCA_RETURN_IF_ERROR(
-      ParseU64(line, "journal_seq", &record->journal_seq));
   QASCA_RETURN_IF_ERROR(ParseU64(line, "ticks", &record->now_ticks));
   QASCA_RETURN_IF_ERROR(
       ParseU64(line, "deadline", &record->lease_deadline));
@@ -188,7 +181,6 @@ ProvenanceLog::ProvenanceLog(int capacity)
 }
 
 void ProvenanceLog::Record(DecisionProvenance record) {
-  record.seq = static_cast<uint64_t>(total_);
   if (static_cast<int>(ring_.size()) < capacity_) {
     ring_.push_back(std::move(record));
   } else {

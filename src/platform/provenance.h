@@ -28,12 +28,11 @@ namespace qasca {
 /// ProvenanceLog accessors under the engine's external-synchronization
 /// contract (see engine.h).
 struct DecisionProvenance {
-  /// Record sequence within the owning log (assigned by Record()).
-  uint64_t seq = 0;
-  /// Request-scoped trace id; matches the "trace" args of the flight
+  /// The record's one id: the seq of the journal line recording this
+  /// assignment (counted the same way when the engine runs without a
+  /// journal). It is also the HIT id and the "trace" arg of the flight
   /// recorder's span events for the same request.
-  uint64_t trace_id = 0;
-  uint64_t hit_id = 0;
+  uint64_t journal_seq = 0;
   WorkerId worker = 0;
   /// Chosen question ids, ascending (the HIT's contents).
   std::vector<QuestionIndex> questions;
@@ -52,9 +51,6 @@ struct DecisionProvenance {
   bool likelihood_cache_hit = false;
   /// Full-EM-refit generation the decision saw (Qc posterior vintage).
   uint64_t em_generation = 0;
-  /// Index of the journal event recording this assignment (0 when the
-  /// engine runs without persistence).
-  uint64_t journal_seq = 0;
   /// Engine virtual clock at assignment, and the lease deadline granted.
   uint64_t now_ticks = 0;
   uint64_t lease_deadline = 0;
@@ -75,8 +71,7 @@ class ProvenanceLog {
   ProvenanceLog(const ProvenanceLog&) = delete;
   ProvenanceLog& operator=(const ProvenanceLog&) = delete;
 
-  /// Records an entry, stamping `record.seq` with the lifetime append
-  /// index; evicts the oldest record once full.
+  /// Records an entry; evicts the oldest record once full.
   void Record(DecisionProvenance record);
 
   int capacity() const noexcept { return capacity_; }

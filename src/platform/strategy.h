@@ -47,8 +47,8 @@ struct StrategyContext {
   /// byte-identical either way.
   util::ThreadPool* pool = nullptr;
   /// Optional engine telemetry registry for stage spans and hot-path
-  /// counters; nullptr (or a disabled registry) records nothing and
-  /// instruments cost a dead branch. Never influences decisions.
+  /// counters; nullptr records nothing, and a disabled registry reads no
+  /// clock (its counters still count). Never influences decisions.
   util::MetricRegistry* telemetry = nullptr;
   /// Per-worker likelihood-table cache (model/likelihood_cache.h), owned
   /// and invalidated by the engine across EM refits. Required by

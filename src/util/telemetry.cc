@@ -54,18 +54,6 @@ double PercentileNsFromBuckets(const int64_t* counts, int num_buckets,
   return InterpolateLog2BucketNs(num_buckets - 1, 1.0);
 }
 
-// Prometheus metric names allow [a-zA-Z0-9_:]; our dotted instrument names
-// map '.' (and any other separator) to '_'.
-std::string PrometheusName(std::string_view name) {
-  std::string out = "qasca_";
-  for (char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_';
-    out += ok ? c : '_';
-  }
-  return out;
-}
-
 }  // namespace
 
 void LatencyHistogram::RecordSeconds(double seconds) noexcept {
@@ -158,15 +146,15 @@ double LatencyHistogram::Percentile(double p) const {
   return PercentileLocked(p);
 }
 
-template <typename T>
+template <typename T, typename... Args>
 T* MetricRegistry::GetOrCreate(
     std::map<std::string, std::unique_ptr<T>, std::less<>>* map,
-    std::string_view name) {
+    std::string_view name, Args... args) {
   MutexLock lock(mutex_);
   auto it = map->find(name);
   if (it == map->end()) {
     it = map->emplace(std::string(name),
-                      std::unique_ptr<T>(new T(std::string(name), enabled_)))
+                      std::unique_ptr<T>(new T(std::string(name), args...)))
              .first;
   }
   return it->second.get();
@@ -181,21 +169,12 @@ Gauge* MetricRegistry::GetGauge(std::string_view name) {
 }
 
 LatencyHistogram* MetricRegistry::GetLatency(std::string_view name) {
-  return GetOrCreate(&latencies_, name);
+  return GetOrCreate(&latencies_, name, enabled_);
 }
 
 WindowedLatency* MetricRegistry::GetWindowed(std::string_view name,
                                              int window) {
-  MutexLock lock(mutex_);
-  auto it = windows_.find(name);
-  if (it == windows_.end()) {
-    it = windows_
-             .emplace(std::string(name),
-                      std::unique_ptr<WindowedLatency>(new WindowedLatency(
-                          std::string(name), enabled_, window)))
-             .first;
-  }
-  return it->second.get();
+  return GetOrCreate(&windows_, name, enabled_, window);
 }
 
 TelemetrySnapshot MetricRegistry::Snapshot() const {
@@ -303,57 +282,6 @@ std::string MetricRegistry::ToJson() const {
   return out;
 }
 
-std::string MetricRegistry::ToPrometheusText() const {
-  const TelemetrySnapshot snapshot = Snapshot();
-  std::string out;
-  for (const CounterSnapshot& counter : snapshot.counters) {
-    const std::string name = PrometheusName(counter.name);
-    out += "# TYPE " + name + " counter\n";
-    out += name + ' ' + std::to_string(counter.value) + '\n';
-  }
-  for (const GaugeSnapshot& gauge : snapshot.gauges) {
-    const std::string name = PrometheusName(gauge.name);
-    out += "# TYPE " + name + " gauge\n";
-    out += name + ' ';
-    AppendJsonNumber(out, gauge.value);
-    out += '\n';
-  }
-  for (const LatencySnapshot& latency : snapshot.latencies) {
-    const std::string name = PrometheusName(latency.name) + "_seconds";
-    out += "# TYPE " + name + " summary\n";
-    const std::pair<const char*, double> quantiles[] = {
-        {"0.5", latency.p50_seconds},
-        {"0.95", latency.p95_seconds},
-        {"0.99", latency.p99_seconds},
-    };
-    for (const auto& [q, seconds] : quantiles) {
-      out += name + "{quantile=\"" + q + "\"} ";
-      AppendJsonNumber(out, seconds);
-      out += '\n';
-    }
-    out += name + "_count " + std::to_string(latency.count) + '\n';
-    out += name + "_sum ";
-    AppendJsonNumber(out, latency.total_seconds);
-    out += '\n';
-  }
-  for (const WindowSnapshot& window : snapshot.windows) {
-    const std::string name = PrometheusName(window.name) + "_window_seconds";
-    out += "# TYPE " + name + " summary\n";
-    const std::pair<const char*, double> quantiles[] = {
-        {"0.5", window.p50_seconds},
-        {"0.95", window.p95_seconds},
-        {"0.99", window.p99_seconds},
-    };
-    for (const auto& [q, seconds] : quantiles) {
-      out += name + "{quantile=\"" + q + "\"} ";
-      AppendJsonNumber(out, seconds);
-      out += '\n';
-    }
-    out += name + "_count " + std::to_string(window.count) + '\n';
-  }
-  return out;
-}
-
 std::string MetricRegistry::ToReport() const {
   const TelemetrySnapshot snapshot = Snapshot();
   if (!snapshot.enabled) {
@@ -444,16 +372,12 @@ SloTracker::SloTracker(MetricRegistry* registry,
 
 void SloTracker::RecordSeconds(double seconds) noexcept {
   window_->RecordSeconds(seconds);
-  if (seconds > options_.target_p95_seconds) {
-    ++samples_over_target_;
-    over_target_->Add(1);
-  }
+  if (seconds > options_.target_p95_seconds) over_target_->Add(1);
   const double p95 = window_->Percentile(0.95);
   window_p95_gauge_->Set(MsFromSeconds(p95));
   if (p95 > options_.target_p95_seconds) {
     if (!in_breach_) {
       in_breach_ = true;
-      ++breaches_;
       breach_counter_->Add(1);
     }
   } else {

@@ -27,13 +27,15 @@ class MetricRegistry;
 /// cover the full uint64 nanosecond range.
 inline constexpr int kLog2LatencyBuckets = 65;
 
-/// Monotone event counter. Add() is wait-free (one relaxed fetch_add) and a
-/// single predictable branch when the owning registry is disabled, so
-/// instruments can sit on the per-HIT hot path unconditionally.
+/// Monotone event counter. Add() is wait-free (one relaxed fetch_add) and
+/// records whether or not the owning registry is enabled: a counter is the
+/// one count of its event (engine accessors such as completed_hits() read
+/// it), so it must not depend on configuration. Only instruments that read
+/// a clock are gated by the registry flag.
 class Counter {
  public:
   void Add(int64_t delta = 1) noexcept {
-    if (enabled_) value_.fetch_add(delta, std::memory_order_relaxed);
+    value_.fetch_add(delta, std::memory_order_relaxed);
   }
   int64_t value() const noexcept {
     return value_.load(std::memory_order_relaxed);
@@ -42,19 +44,18 @@ class Counter {
 
  private:
   friend class MetricRegistry;
-  Counter(std::string name, bool enabled)
-      : name_(std::move(name)), enabled_(enabled) {}
+  explicit Counter(std::string name) : name_(std::move(name)) {}
 
   std::string name_;
-  bool enabled_;
   std::atomic<int64_t> value_{0};
 };
 
-/// Last-value-wins gauge (e.g. open HITs, latest refresh drift).
+/// Last-value-wins gauge (e.g. open HITs, latest refresh drift). Set()
+/// records whether or not the registry is enabled, like Counter::Add().
 class Gauge {
  public:
   void Set(double value) noexcept {
-    if (enabled_) value_.store(value, std::memory_order_relaxed);
+    value_.store(value, std::memory_order_relaxed);
   }
   double value() const noexcept {
     return value_.load(std::memory_order_relaxed);
@@ -63,11 +64,9 @@ class Gauge {
 
  private:
   friend class MetricRegistry;
-  Gauge(std::string name, bool enabled)
-      : name_(std::move(name)), enabled_(enabled) {}
+  explicit Gauge(std::string name) : name_(std::move(name)) {}
 
   std::string name_;
-  bool enabled_;
   std::atomic<double> value_{0.0};
 };
 
@@ -187,9 +186,10 @@ struct TelemetrySnapshot {
 /// Process- or engine-scoped registry of named instruments. Get* is
 /// get-or-create (mutex-guarded map lookup; hot paths resolve instruments
 /// once and keep the pointer — returned pointers are stable for the
-/// registry's lifetime). A disabled registry hands out instruments whose
-/// mutators are no-ops, so instrumented code never branches on telemetry
-/// configuration itself.
+/// registry's lifetime). The enabled flag gates only what reads a clock:
+/// a disabled registry's spans read none, and its latency histograms and
+/// windows stay empty, while its counters and gauges record as always.
+/// Instrumented code never branches on telemetry configuration itself.
 ///
 /// Instrument names must come from util/telemetry_names.h (span names are
 /// lint-enforced; see tools/lint_invariants.py).
@@ -227,19 +227,15 @@ class MetricRegistry {
   /// by AppManager::AppTelemetryJson.
   std::string ToJson() const;
 
-  /// Prometheus text exposition: counters/gauges plus one summary per
-  /// latency histogram (quantile 0.5/0.95/0.99, _count, _sum). Names are
-  /// sanitised ('.' -> '_') and prefixed "qasca_".
-  std::string ToPrometheusText() const;
-
   /// Human-readable per-stage report (aligned tables) for CLI output
   /// (tools/qasca_sim --telemetry).
   std::string ToReport() const;
 
  private:
-  template <typename T>
+  /// `args` follow the name into T's constructor on creation only.
+  template <typename T, typename... Args>
   T* GetOrCreate(std::map<std::string, std::unique_ptr<T>, std::less<>>* map,
-                 std::string_view name) QASCA_EXCLUDES(mutex_);
+                 std::string_view name, Args... args) QASCA_EXCLUDES(mutex_);
 
   const bool enabled_;
   // Written once before the registry goes concurrent (see
@@ -310,7 +306,10 @@ class Span {
 /// transitions* (window p95 crossing from <= target to > target), so
 /// "how many times did we blow the SLO" is one counter read rather than a
 /// log dive. All instruments live in the owning registry under the caller's
-/// registered names, so they ride the existing exports.
+/// registered names, so they ride the existing exports; the accessors read
+/// those instruments. The window is a clock instrument, so on a disabled
+/// registry it stays empty and its p95 reads 0 (the engine keeps the
+/// registry enabled whenever it builds a tracker).
 ///
 /// RecordSeconds must be called from one thread at a time (the engine's
 /// external-synchronization contract); reads are safe from anywhere via the
@@ -340,9 +339,9 @@ class SloTracker {
   /// Current window p95 in seconds.
   double WindowP95() const { return window_->Percentile(0.95); }
   bool in_breach() const noexcept { return in_breach_; }
-  int64_t breaches() const noexcept { return breaches_; }
+  int64_t breaches() const noexcept { return breach_counter_->value(); }
   int64_t samples_over_target() const noexcept {
-    return samples_over_target_;
+    return over_target_->value();
   }
   double target_p95_seconds() const noexcept {
     return options_.target_p95_seconds;
@@ -355,8 +354,6 @@ class SloTracker {
   Counter* breach_counter_;
   Gauge* window_p95_gauge_;
   bool in_breach_ = false;
-  int64_t breaches_ = 0;
-  int64_t samples_over_target_ = 0;
 };
 
 }  // namespace qasca::util

@@ -14,6 +14,7 @@
 #include "platform/database.h"
 #include "platform/qasca_strategy.h"
 #include "util/rng.h"
+#include "util/telemetry.h"
 
 namespace qasca {
 namespace {
@@ -26,7 +27,9 @@ class StrategyTest : public ::testing::Test {
       : db_(6, 2),
         worker_model_(WorkerModel::Wp(0.8, 2)),
         typical_(WorkerModel::Wp(0.75, 2)),
-        rng_(42) {
+        rng_(42),
+        likelihood_cache_(registry_.GetCounter("cache.hits"),
+                          registry_.GetCounter("cache.misses")) {
     metric_ = MetricSpec::Accuracy();
     context_.database = &db_;
     context_.metric = &metric_;
@@ -57,6 +60,7 @@ class StrategyTest : public ::testing::Test {
   WorkerModel worker_model_;
   WorkerModel typical_;
   util::Rng rng_;
+  util::MetricRegistry registry_;
   LikelihoodCache likelihood_cache_;
   StrategyContext context_;
 };

@@ -9,6 +9,7 @@
 #include "model/posterior.h"
 #include "model/worker_model.h"
 #include "util/rng.h"
+#include "util/telemetry.h"
 #include "util/thread_pool.h"
 
 namespace qasca {
@@ -48,7 +49,10 @@ TEST(WorkerLikelihoodsTest, RebuildReplacesContentsInPlace) {
 }
 
 TEST(LikelihoodCacheTest, MissBuildsThenHitsUntilInvalidated) {
-  LikelihoodCache cache;
+  util::MetricRegistry registry(/*enabled=*/false);
+  util::Counter* hits = registry.GetCounter("hits");
+  util::Counter* misses = registry.GetCounter("misses");
+  LikelihoodCache cache(hits, misses);
   const WorkerModel model = WorkerModel::Wp(0.75, 2);
   const WorkerLikelihoods& first = cache.Get(7, model);
   EXPECT_EQ(cache.misses(), 1);
@@ -71,12 +75,18 @@ TEST(LikelihoodCacheTest, MissBuildsThenHitsUntilInvalidated) {
   EXPECT_EQ(cache.size(), 0);  // no entry survives a refit
   cache.Get(7, model);
   EXPECT_EQ(cache.misses(), 3);
+  // The counters are the cache's only hit/miss record, and they count with
+  // telemetry disabled.
+  EXPECT_EQ(hits->value(), 1);
+  EXPECT_EQ(misses->value(), 3);
 }
 
 TEST(LikelihoodCacheTest, GetReturnsExactlyFromModel) {
   // Pure memoisation: a cached table and a fresh FromModel hold identical
   // doubles, which is why decisions are bit-identical cache on or off.
-  LikelihoodCache cache;
+  util::MetricRegistry registry;
+  LikelihoodCache cache(registry.GetCounter("hits"),
+                        registry.GetCounter("misses"));
   const WorkerModel model =
       WorkerModel::Cm({0.9, 0.1, 0.3, 0.7}, 2);
   const WorkerLikelihoods& cached = cache.Get(1, model);

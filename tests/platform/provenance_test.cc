@@ -1,7 +1,11 @@
 #include "platform/provenance.h"
 
 #include <algorithm>
+#include <fstream>
 #include <memory>
+#include <regex>
+#include <set>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -10,31 +14,30 @@
 
 #include "platform/engine.h"
 #include "platform/qasca_strategy.h"
+#include "scoped_test_dir.h"
 #include "util/flight_recorder.h"
 
 namespace qasca {
 namespace {
 
-DecisionProvenance SampleRecord(uint64_t hit_id) {
+DecisionProvenance SampleRecord(uint64_t i) {
   DecisionProvenance record;
-  record.trace_id = hit_id * 10 + 1;
-  record.hit_id = hit_id;
-  record.worker = static_cast<WorkerId>(hit_id % 5);
+  record.journal_seq = i * 2;
+  record.worker = static_cast<WorkerId>(i % 5);
   record.questions = {1, 4, 9};
   record.scores = {0.25, 0.125, 0.0625};
   record.objective = 0.75;
   record.outer_iterations = 2;
   record.inner_iterations = 6;
   record.candidates = 40;
-  record.likelihood_cache_hit = hit_id % 2 == 0;
+  record.likelihood_cache_hit = i % 2 == 0;
   record.em_generation = 3;
-  record.journal_seq = hit_id * 2;
-  record.now_ticks = hit_id * 7;
-  record.lease_deadline = hit_id * 7 + 100;
+  record.now_ticks = i * 7;
+  record.lease_deadline = i * 7 + 100;
   return record;
 }
 
-TEST(ProvenanceLogTest, RecordStampsSequenceAndRetains) {
+TEST(ProvenanceLogTest, RecordRetainsInAppendOrder) {
   ProvenanceLog log(8);
   EXPECT_EQ(log.size(), 0);
   EXPECT_EQ(log.total_appended(), 0);
@@ -42,8 +45,7 @@ TEST(ProvenanceLogTest, RecordStampsSequenceAndRetains) {
   EXPECT_EQ(log.size(), 3);
   EXPECT_EQ(log.total_appended(), 3);
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(log.at(i).seq, static_cast<uint64_t>(i));
-    EXPECT_EQ(log.at(i).hit_id, static_cast<uint64_t>(i));
+    EXPECT_EQ(log.at(i).journal_seq, static_cast<uint64_t>(2 * i));
   }
 }
 
@@ -53,10 +55,9 @@ TEST(ProvenanceLogTest, RingWrapKeepsNewestOldestFirst) {
   EXPECT_EQ(log.capacity(), 4);
   EXPECT_EQ(log.size(), 4);
   EXPECT_EQ(log.total_appended(), 10);
-  // Records 6..9 survive, oldest first, seq == lifetime append index.
+  // Records 6..9 survive, oldest first.
   for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(log.at(i).seq, static_cast<uint64_t>(6 + i));
-    EXPECT_EQ(log.at(i).hit_id, static_cast<uint64_t>(6 + i));
+    EXPECT_EQ(log.at(i).journal_seq, static_cast<uint64_t>(2 * (6 + i)));
   }
 }
 
@@ -71,9 +72,7 @@ TEST(ProvenanceLogTest, JsonLinesRoundTripsEveryField) {
   for (size_t i = 0; i < parsed->size(); ++i) {
     const DecisionProvenance& got = (*parsed)[i];
     const DecisionProvenance& want = log.at(static_cast<int>(i));
-    EXPECT_EQ(got.seq, want.seq);
-    EXPECT_EQ(got.trace_id, want.trace_id);
-    EXPECT_EQ(got.hit_id, want.hit_id);
+    EXPECT_EQ(got.journal_seq, want.journal_seq);
     EXPECT_EQ(got.worker, want.worker);
     EXPECT_EQ(got.questions, want.questions);
     ASSERT_EQ(got.scores.size(), want.scores.size());
@@ -86,15 +85,15 @@ TEST(ProvenanceLogTest, JsonLinesRoundTripsEveryField) {
     EXPECT_EQ(got.candidates, want.candidates);
     EXPECT_EQ(got.likelihood_cache_hit, want.likelihood_cache_hit);
     EXPECT_EQ(got.em_generation, want.em_generation);
-    EXPECT_EQ(got.journal_seq, want.journal_seq);
     EXPECT_EQ(got.now_ticks, want.now_ticks);
     EXPECT_EQ(got.lease_deadline, want.lease_deadline);
   }
 }
 
 TEST(ProvenanceLogTest, ParsesLinesWithRetiredKernelIsaKeys) {
-  // Dumps written before the kernel ISA fields were retired carry two extra
-  // keys; they must stay readable, with every other field intact.
+  // Dumps written before the kernel ISA fields and the separate record,
+  // trace and HIT ids were retired carry five extra keys; they must stay
+  // readable, with every other field intact.
   const std::string line =
       "{\"seq\":4,\"trace\":41,\"hit\":4,\"worker\":4,"
       "\"questions\":[1,4,9],\"scores\":[0.25,0.125,0.0625],"
@@ -106,7 +105,7 @@ TEST(ProvenanceLogTest, ParsesLinesWithRetiredKernelIsaKeys) {
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   ASSERT_EQ(parsed->size(), 1u);
   const DecisionProvenance& got = (*parsed)[0];
-  EXPECT_EQ(got.seq, 4u);
+  EXPECT_EQ(got.worker, 4);
   EXPECT_EQ(got.questions, (std::vector<QuestionIndex>{1, 4, 9}));
   EXPECT_TRUE(got.likelihood_cache_hit);
   EXPECT_EQ(got.em_generation, 3u);
@@ -163,14 +162,13 @@ TEST(ProvenanceEngineTest, EveryAssignmentGetsOneRecord) {
   EXPECT_EQ(log->size(), assigned);
   for (int i = 0; i < log->size(); ++i) {
     const DecisionProvenance& record = log->at(i);
-    EXPECT_EQ(record.seq, static_cast<uint64_t>(i));
     EXPECT_EQ(record.questions.size(), 3u);
     EXPECT_EQ(record.scores.size(), 3u);
     EXPECT_TRUE(std::is_sorted(record.questions.begin(),
                                record.questions.end()));
     EXPECT_GT(record.candidates, 0);
-    // Requests and completions alternate, each taking one trace id.
-    EXPECT_EQ(record.trace_id, static_cast<uint64_t>(2 * i));
+    // Requests and completions alternate, each taking one seq.
+    EXPECT_EQ(record.journal_seq, static_cast<uint64_t>(2 * i));
   }
 
   // The failed request after budget exhaustion must not have appended.
@@ -188,6 +186,94 @@ TEST(ProvenanceEngineTest, EveryAssignmentGetsOneRecord) {
         "complete_hit"}) {
     EXPECT_NE(trace.find(stage), std::string::npos) << stage;
   }
+}
+
+// Seqs of the assignment lines in the journal file at `prefix`.
+std::vector<uint64_t> AssignSeqsOnDisk(const std::string& prefix) {
+  std::vector<uint64_t> seqs;
+  std::ifstream in(prefix + ".log");
+  std::string line;
+  while (std::getline(in, line)) {
+    std::istringstream fields(line);
+    uint64_t seq = 0;
+    std::string kind;
+    if (fields >> seq >> kind && kind == "A") seqs.push_back(seq);
+  }
+  return seqs;
+}
+
+std::vector<uint64_t> RecordSeqs(const TaskAssignmentEngine& engine) {
+  std::vector<uint64_t> seqs;
+  for (int i = 0; i < engine.provenance()->size(); ++i) {
+    seqs.push_back(engine.provenance()->at(i).journal_seq);
+  }
+  return seqs;
+}
+
+// The "trace" args of the assign_hit begin events in a Chrome JSON export.
+std::set<uint64_t> AssignHitTraceIds(const std::string& trace) {
+  static const std::regex kAssignBegin(
+      "\\{\"name\":\"assign_hit\",\"cat\":\"qasca\",\"ph\":\"B\"[^}]*"
+      "\"args\":\\{\"trace\":([0-9]+)\\}");
+  std::set<uint64_t> ids;
+  for (auto it = std::sregex_iterator(trace.begin(), trace.end(), kAssignBegin);
+       it != std::sregex_iterator(); ++it) {
+    ids.insert(std::stoull((*it)[1].str()));
+  }
+  return ids;
+}
+
+// One id per event: with a journal, leases and ticks (which take seqs no
+// assignment gets), every provenance record carries the seq of its
+// assignment's journal line, recovery rebuilds the same seqs, and the
+// request's spans carry it as their trace id.
+TEST(ProvenanceEngineTest, JournalSeqJoinsRecordsSpansAndJournalLines) {
+  ScopedTestDir dir;
+  AppConfig config = ObservedConfig();
+  config.num_questions = 12;
+  config.budget = 0.02 * 20;
+  config.lease_timeout_ticks = 2;
+  config.persistence_path = dir.path() + "/app";
+  const std::string prefix = config.persistence_path;
+  auto engine = std::make_unique<TaskAssignmentEngine>(
+      config, std::make_unique<QascaStrategy>(), /*seed=*/3);
+  // Workers 0 and 1 answer; worker 2's lease expires under a tick.
+  for (int round = 0; round < 6; ++round) {
+    const WorkerId worker = round % 3;
+    auto hit = engine->RequestHit(worker);
+    ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+    if (worker == 2) {
+      ASSERT_EQ(engine->Tick(2), 1);
+    } else {
+      ASSERT_TRUE(
+          engine->CompleteHit(worker, std::vector<LabelIndex>(3, 0)).ok());
+    }
+  }
+  // Worker 0 answers until fewer than k unseen questions remain. The
+  // rejected request journals nothing: the journal's assignment lines are
+  // exactly the 8 recorded assignments.
+  util::StatusOr<std::vector<QuestionIndex>> hit = engine->RequestHit(0);
+  while (hit.ok()) {
+    ASSERT_TRUE(
+        engine->CompleteHit(0, std::vector<LabelIndex>(3, 1)).ok());
+    hit = engine->RequestHit(0);
+  }
+  EXPECT_EQ(hit.status().code(), util::StatusCode::kNotFound);
+
+  const std::vector<uint64_t> seqs = RecordSeqs(*engine);
+  EXPECT_EQ(engine->provenance()->total_appended(), 8);
+  EXPECT_EQ(seqs, AssignSeqsOnDisk(prefix));
+  const std::set<uint64_t> traced =
+      AssignHitTraceIds(engine->flight_recorder()->ToChromeJson());
+  for (uint64_t seq : seqs) {
+    EXPECT_TRUE(traced.contains(seq)) << "no assign_hit span for seq " << seq;
+  }
+
+  engine.reset();
+  auto recovered = std::make_unique<TaskAssignmentEngine>(
+      config, std::make_unique<QascaStrategy>(), /*seed=*/3);
+  ASSERT_TRUE(recovered->Recover().ok());
+  EXPECT_EQ(RecordSeqs(*recovered), seqs);
 }
 
 TEST(ProvenanceEngineTest, DisabledByDefault) {

@@ -63,7 +63,9 @@
 #  12. observability smoke (ISSUE 8): qasca_sim --trace-out /
 #      --provenance-out on the release build, then structural validation of
 #      the Chrome trace JSON (sorted ts, balanced B/E per tid, nested
-#      stages) and the provenance JSONL; then the benchmark of record
+#      stages) and the provenance JSONL, and the journal-seq join (every
+#      provenance record inside the exported trace has an assign_hit span
+#      carrying its journal_seq as the trace arg); then the benchmark of record
 #      (perfbench/run.py) on both gated workloads and pool_1e5 for 5 s
 #      each plus one traced serve_4app run, each of which must report
 #      "correct": true (decision hashes, fingerprints and scripted counts)
@@ -302,8 +304,19 @@ assert records, "provenance export is empty"
 for r in records:
     assert r["questions"], "provenance record with no questions"
     assert len(r["questions"]) == len(r["scores"]), "questions/scores mismatch"
+# The journal seq is the one event id: every provenance record the trace
+# ring still covers (journal_seq at or above the smallest exported trace
+# id) has an assign_hit begin event carrying that seq as its trace arg.
+assign_traces = {e["args"]["trace"] for e in events
+                 if e["name"] == "assign_hit" and e["ph"] == "B"}
+oldest = min(e["args"]["trace"] for e in events)
+covered = [r["journal_seq"] for r in records if r["journal_seq"] >= oldest]
+missing = [seq for seq in covered if seq not in assign_traces]
+assert covered, "no provenance record falls inside the exported trace"
+assert not missing, f"records without an assign_hit span: {missing[:10]}"
 print(f"observability smoke: {len(events)} trace events across "
-      f"{len(names)} stages, {len(records)} provenance records")
+      f"{len(names)} stages, {len(records)} provenance records, "
+      f"{len(covered)} joined to their spans by journal seq")
 EOF
 # The benchmark of record (BENCHMARK.json) checks every decision hash,
 # state fingerprint and scripted count of its run and reports the verdict
