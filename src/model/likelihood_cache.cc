@@ -1,7 +1,5 @@
 #include "model/likelihood_cache.h"
 
-#include "util/logging.h"
-
 namespace qasca {
 
 WorkerLikelihoods WorkerLikelihoods::FromModel(const WorkerModel& model) {
@@ -21,29 +19,6 @@ void WorkerLikelihoods::Rebuild(const WorkerModel& model) {
       row[truth] = model.AnswerProbability(answered, truth);
     }
   }
-}
-
-LikelihoodCache::LikelihoodCache(util::Counter* hits, util::Counter* misses)
-    : hits_counter_(hits), misses_counter_(misses) {
-  QASCA_CHECK(hits_counter_ != nullptr && misses_counter_ != nullptr);
-}
-
-const WorkerLikelihoods& LikelihoodCache::Get(WorkerId worker,
-                                              const WorkerModel& model) {
-  auto it = entries_.find(worker);
-  if (it != entries_.end()) {
-    QASCA_DCHECK_EQ(it->second.num_labels(), model.num_labels());
-    hits_counter_->Add(1);
-    return it->second;
-  }
-  misses_counter_->Add(1);
-  return entries_.emplace(worker, WorkerLikelihoods::FromModel(model))
-      .first->second;
-}
-
-void LikelihoodCache::Invalidate() {
-  entries_.clear();
-  ++generation_;
 }
 
 }  // namespace qasca

@@ -1,14 +1,19 @@
 #ifndef QASCA_MODEL_LIKELIHOOD_CACHE_H_
 #define QASCA_MODEL_LIKELIHOOD_CACHE_H_
 
-#include <cstdint>
+// Per-worker answer-likelihood tables (DESIGN.md §12). The file keeps its
+// name although nothing here caches: perfbench's leaf rung includes it and
+// calls WorkerLikelihoods, LikelihoodLookup and
+// ComputePosteriorRowWithLikelihoods (model/posterior.h). Each caller builds
+// a table where it uses it: at the default em_refresh_interval of 1 every
+// HIT completion refits the worker models, so a table kept between requests
+// is almost never read again (DESIGN.md §12 has the counts).
+
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/types.h"
 #include "model/worker_model.h"
-#include "util/telemetry.h"
 
 namespace qasca {
 
@@ -48,48 +53,6 @@ class WorkerLikelihoods {
 /// Resolves a worker id to that worker's likelihood table (the table-based
 /// counterpart of WorkerModelLookup in posterior.h).
 using LikelihoodLookup = std::function<const WorkerLikelihoods&(WorkerId)>;
-
-/// Memoises per-worker likelihood tables between EM refits (DESIGN.md §12;
-/// the CAFExp matrix_cache idea). Worker models only change on a full EM
-/// refit, so the engine calls Invalidate() there and every HIT request in
-/// between reuses the requesting worker's table instead of rebuilding it.
-///
-/// The cache is pure memoisation: Get() returns exactly
-/// WorkerLikelihoods::FromModel(model), so decisions are bit-identical with
-/// the cache on or off (the kernel-equivalence suite proves it).
-///
-/// Threading contract: engine-thread-only mutation (Get / Invalidate);
-/// parallel kernel chunks read the returned table strictly const. Returned
-/// references stay valid until the next Invalidate().
-class LikelihoodCache {
- public:
-  /// `hits` and `misses` (tnames::kQwLikelihoodCacheHits/Misses from the
-  /// engine's registry) are the cache's only hit/miss counts; neither may
-  /// be null, and both must outlive the cache.
-  LikelihoodCache(util::Counter* hits, util::Counter* misses);
-
-  /// The memoised table for `worker`, building it from `model` on miss.
-  /// `model` must be the worker's current model — the caller's contract is
-  /// that models only change across Invalidate() boundaries.
-  const WorkerLikelihoods& Get(WorkerId worker, const WorkerModel& model);
-
-  /// Drops every entry and bumps the refit generation. Called by the engine
-  /// whenever fitted worker models change (each full EM refit).
-  void Invalidate();
-
-  /// Refit generation: how many times Invalidate() has run. Entries never
-  /// survive a generation bump (invalidation-on-refit unit tests).
-  uint64_t generation() const noexcept { return generation_; }
-  int64_t hits() const noexcept { return hits_counter_->value(); }
-  int64_t misses() const noexcept { return misses_counter_->value(); }
-  int size() const noexcept { return static_cast<int>(entries_.size()); }
-
- private:
-  std::unordered_map<WorkerId, WorkerLikelihoods> entries_;
-  util::Counter* hits_counter_;
-  util::Counter* misses_counter_;
-  uint64_t generation_ = 0;
-};
 
 }  // namespace qasca
 

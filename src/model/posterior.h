@@ -127,8 +127,8 @@ DistributionMatrix EstimateWorkerDistribution(
 /// the answer-distribution / posterior-weight inner loops through the
 /// row kernels (core/kernels/kernels.h) with zero per-candidate
 /// allocations.
-/// `likelihoods` must be the transposed table for `model` (from the
-/// engine's LikelihoodCache).
+/// `likelihoods` must be the transposed table for `model`
+/// (WorkerLikelihoods::Rebuild on the strategy's scratch table).
 ///
 /// Same randomness contract as EstimateWorkerDistribution, and bit-identical
 /// overlay rows: for every candidate i, overlay->Row(i) holds exactly the

@@ -99,8 +99,8 @@ struct AppConfig {
   /// Flight-recorder ring capacity in events (one span = two events).
   int flight_recorder_capacity = 65536;
   /// Record a DecisionProvenance entry (platform/provenance.h) for every
-  /// assignment: chosen questions + benefit scores, cache usage, EM
-  /// generation, lease/journal sequencing. Dumpable as JSONL
+  /// assignment: chosen questions + benefit scores, EM generation,
+  /// lease/journal sequencing. Dumpable as JSONL
   /// (qasca_sim --provenance-out). OFF by default.
   bool provenance_enabled = false;
   /// Provenance ring capacity in records (one per assignment).

@@ -20,21 +20,21 @@ AssignmentCore::AssignmentCore(const AppConfig* config,
       metric_(config_.metric.Make()),
       database_(config_.num_questions, config_.num_labels),
       rng_(seed),
-      likelihood_cache_(
-          telemetry->GetCounter(util::tnames::kQwLikelihoodCacheHits),
-          telemetry->GetCounter(util::tnames::kQwLikelihoodCacheMisses)),
       em_full_refits_counter_(
           telemetry->GetCounter(util::tnames::kEmFullRefits)),
       em_incremental_refreshes_counter_(
           telemetry->GetCounter(util::tnames::kEmIncrementalRefreshes)),
       last_refresh_drift_gauge_(
-          telemetry->GetGauge(util::tnames::kLastRefreshDrift)) {
+          telemetry->GetGauge(util::tnames::kLastRefreshDrift)),
+      answers_recorded_counter_(
+          telemetry->GetCounter(util::tnames::kDbAnswersRecorded)),
+      posterior_row_updates_counter_(
+          telemetry->GetCounter(util::tnames::kDbPosteriorRowUpdates)) {
   QASCA_CHECK(strategy_ != nullptr);
   if (config_.num_threads > 1) {
     pool_ = std::make_unique<util::ThreadPool>(config_.num_threads);
     pool_->AttachTelemetry(&telemetry_);
   }
-  database_.AttachTelemetry(&telemetry_);
 }
 
 util::StatusOr<AssignmentCore::Decision> AssignmentCore::Decide(
@@ -49,7 +49,6 @@ util::StatusOr<AssignmentCore::Decision> AssignmentCore::Decide(
   StrategyContext context;
   context.database = &database_;
   context.metric = &config_.metric;
-  context.worker = worker;
   const WorkerModel& model = ModelFor(worker);
   context.worker_model = &model;
   if (strategy_->ReadsTypicalWorker()) {
@@ -58,12 +57,7 @@ util::StatusOr<AssignmentCore::Decision> AssignmentCore::Decide(
   context.rng = &rng_;
   context.pool = pool_.get();
   context.telemetry = &telemetry_;
-  context.likelihood_cache = &likelihood_cache_;
   context.provenance = provenance;
-  // The cache-hit bit comes from the cache's hit counter, which counts
-  // whether or not telemetry is enabled, read as a delta around the
-  // strategy call.
-  const int64_t cache_hits_before = likelihood_cache_.hits();
 
   Decision decision;
   decision.questions = strategy_->SelectQuestions(context, candidates, k);
@@ -89,8 +83,6 @@ util::StatusOr<AssignmentCore::Decision> AssignmentCore::Decide(
 #endif
   if (provenance != nullptr) {
     provenance->candidates = decision.candidates;
-    provenance->likelihood_cache_hit =
-        likelihood_cache_.hits() > cache_hits_before;
     provenance->em_generation =
         static_cast<uint64_t>(em_full_refits_counter_->value());
   }
@@ -115,6 +107,7 @@ void AssignmentCore::ApplyCompletion(
   for (size_t q = 0; q < questions.size(); ++q) {
     database_.RecordAnswer(questions[q], worker, labels[q]);
   }
+  answers_recorded_counter_->Add(static_cast<int64_t>(questions.size()));
   ++completions_since_refit_;
 
   // Steps B + C: re-estimate the parameters and refresh Qc. A full EM refit
@@ -136,23 +129,25 @@ void AssignmentCore::ApplyCompletion(
     const EmResult& parameters = database_.parameters();
     std::vector<double> row;
     row.reserve(static_cast<size_t>(config_.num_labels));
-    // Table-based refresh: the answering workers' likelihood tables are
-    // memoised across completions (models are frozen between refits, so
-    // entries stay valid until RunFullEmRefit invalidates them).
-    LikelihoodLookup lookup =
-        [this, &parameters](WorkerId w) -> const WorkerLikelihoods& {
-      return likelihood_cache_.Get(w, parameters.WorkerFor(w));
+    // Eq. 5 under the frozen models: the same AnswerProbability doubles,
+    // multiplied in the same order, as perfbench's table-based leaf rung
+    // (PosteriorTest pins the two routines bit-identical).
+    const WorkerModelLookup models =
+        [&parameters](WorkerId w) -> const WorkerModel& {
+      return parameters.WorkerFor(w);
     };
     for (QuestionIndex question : questions) {
-      ComputePosteriorRowWithLikelihoods(
+      ComputePosteriorRowInto(
           database_.answers()[static_cast<size_t>(question)],
-          parameters.prior, lookup, &row);
+          parameters.prior, models, &row);
       // Always on: an incremental row is the only writer of Qc between
       // refits, so a denormalised one corrupts every later assignment
       // decision without crashing.
       QASCA_CHECK_OK(invariants::CheckDistributionRow(row));
       database_.UpdatePosteriorRow(question, row);
     }
+    posterior_row_updates_counter_->Add(
+        static_cast<int64_t>(questions.size()));
     incremental_since_refit_ = true;
   }
   if (!can_refresh_incrementally ||
@@ -206,10 +201,8 @@ void AssignmentCore::RunFullEmRefit() {
   em_full_refits_counter_->Add(1);
   completions_since_refit_ = 0;
   incremental_since_refit_ = false;
-  // The fitted worker pool changed; the cached typical worker and every
-  // memoised likelihood table are stale.
+  // The fitted worker pool changed; the cached typical worker is stale.
   typical_worker_.reset();
-  likelihood_cache_.Invalidate();
 }
 
 ResultVector AssignmentCore::CurrentResults() const {

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/metrics/metric.h"
-#include "model/likelihood_cache.h"
 #include "platform/app_config.h"
 #include "platform/database.h"
 #include "platform/provenance.h"
@@ -40,10 +39,9 @@ class AssignmentCore {
  public:
   /// `config` must outlive the core and must already Validate();
   /// `telemetry` is the owning engine's registry (never null; its counters
-  /// are the core's refit and cache counts whether or not it is enabled)
-  /// and must outlive the core. `seed`
-  /// drives all stochastic choices (Qw sampling, tie-breaking)
-  /// deterministically.
+  /// are the core's refit and database write counts whether or not it is
+  /// enabled) and must outlive the core. `seed` drives all stochastic
+  /// choices (Qw sampling, tie-breaking) deterministically.
   AssignmentCore(const AppConfig* config,
                  std::unique_ptr<AssignmentStrategy> strategy, uint64_t seed,
                  util::MetricRegistry* telemetry);
@@ -62,8 +60,8 @@ class AssignmentCore {
   /// Fails with NotFound if fewer than k candidates remain. Pure decision:
   /// no core state changes except the RNG stream the strategy draws from.
   /// When `provenance` is non-null the strategy fills its selection scores
-  /// and the core fills the decision-input fields (candidate count,
-  /// cache-hit bit, EM generation).
+  /// and the core fills the decision-input fields (candidate count, EM
+  /// generation).
   QASCA_NODISCARD
   util::StatusOr<Decision> Decide(WorkerId worker,
                                   DecisionProvenance* provenance);
@@ -151,15 +149,14 @@ class AssignmentCore {
   util::Rng rng_;
   /// Non-null iff config_.num_threads > 1.
   std::unique_ptr<util::ThreadPool> pool_;
-  /// Per-worker likelihood tables memoised between full EM refits
-  /// (invalidated by RunFullEmRefit alongside the typical-worker cache).
-  LikelihoodCache likelihood_cache_;
   std::optional<WorkerModel> typical_worker_;
-  /// The registry instruments are the only record of the refresh counts
-  /// and the latest drift.
+  /// The registry instruments are the only record of the refresh counts,
+  /// the latest drift and the database writes.
   util::Counter* em_full_refits_counter_;
   util::Counter* em_incremental_refreshes_counter_;
   util::Gauge* last_refresh_drift_gauge_;
+  util::Counter* answers_recorded_counter_;
+  util::Counter* posterior_row_updates_counter_;
   /// Completions since the last full EM refit.
   int completions_since_refit_ = 0;
   /// Whether any incremental row update has been applied since the last

@@ -4,7 +4,6 @@
 
 #include "model/prior.h"
 #include "util/logging.h"
-#include "util/telemetry_names.h"
 
 namespace qasca {
 
@@ -17,17 +16,6 @@ Database::Database(int num_questions, int num_labels)
   parameters_.prior = UniformPrior(num_labels);
   parameters_.posterior = DistributionMatrix(num_questions, num_labels);
   parameters_.fallback = WorkerModel::PerfectWp(num_labels);
-}
-
-void Database::AttachTelemetry(util::MetricRegistry* registry) {
-  if (registry == nullptr) {
-    answers_recorded_ = nullptr;
-    posterior_row_updates_ = nullptr;
-    return;
-  }
-  answers_recorded_ = registry->GetCounter(util::tnames::kDbAnswersRecorded);
-  posterior_row_updates_ =
-      registry->GetCounter(util::tnames::kDbPosteriorRowUpdates);
 }
 
 void Database::MarkAssigned(WorkerId worker,
@@ -66,7 +54,6 @@ void Database::RecordAnswer(QuestionIndex question, WorkerId worker,
   QASCA_CHECK_GE(label, 0);
   QASCA_CHECK_LT(label, num_labels_);
   answers_[question].push_back(Answer{worker, label});
-  if (answers_recorded_ != nullptr) answers_recorded_->Add(1);
 }
 
 std::vector<QuestionIndex> Database::CandidatesFor(WorkerId worker) const {
@@ -108,7 +95,6 @@ void Database::UpdatePosteriorRow(QuestionIndex question,
   // The engine may be mid-run with a posterior shaped before any full fit.
   QASCA_CHECK_EQ(parameters_.posterior.num_questions(), num_questions_);
   parameters_.posterior.SetRow(question, row);
-  if (posterior_row_updates_ != nullptr) posterior_row_updates_->Add(1);
 }
 
 }  // namespace qasca

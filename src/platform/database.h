@@ -8,7 +8,6 @@
 #include "core/distribution_matrix.h"
 #include "core/types.h"
 #include "model/em.h"
-#include "util/telemetry.h"
 
 namespace qasca {
 
@@ -35,11 +34,6 @@ class Database {
 
   int num_questions() const { return num_questions_; }
   int num_labels() const { return num_labels_; }
-
-  /// Wires the database's write-path counters (answers recorded, posterior
-  /// row updates) into `registry`. nullptr detaches. The engine attaches its
-  /// own registry at construction.
-  void AttachTelemetry(util::MetricRegistry* registry);
 
   /// Marks `questions` as assigned to `worker`; they leave S^w immediately
   /// so the worker can never receive duplicates, even across open HITs.
@@ -84,8 +78,6 @@ class Database {
  private:
   int num_questions_;
   int num_labels_;
-  util::Counter* answers_recorded_ = nullptr;
-  util::Counter* posterior_row_updates_ = nullptr;
   AnswerSet answers_;
   /// Each worker's assigned questions, ascending.
   std::unordered_map<WorkerId, std::vector<QuestionIndex>> assigned_;

@@ -73,7 +73,6 @@ TaskAssignmentEngine::TaskAssignmentEngine(
   }
   if (!config_.persistence_path.empty()) {
     journal_ = std::make_unique<LifecycleJournal>(config_.persistence_path);
-    journal_->AttachTelemetry(&telemetry_);
   }
   // Arms any fault plan in the QASCA_FAILPOINTS environment variable; a
   // no-op when unset or when fail points are compiled out.

@@ -10,7 +10,6 @@
 
 #include "util/failpoint.h"
 #include "util/logging.h"
-#include "util/telemetry_names.h"
 
 namespace qasca {
 
@@ -117,17 +116,6 @@ LifecycleJournal::LifecycleJournal(std::string path_prefix) {
   if (cut_error) log_.setstate(std::ios::badbit);
 }
 
-void LifecycleJournal::AttachTelemetry(util::MetricRegistry* registry) {
-  if (registry == nullptr) {
-    appends_ = nullptr;
-    failpoints_triggered_ = nullptr;
-    return;
-  }
-  appends_ = registry->GetCounter(util::tnames::kJournalAppends);
-  failpoints_triggered_ =
-      registry->GetCounter(util::tnames::kFailpointsTriggered);
-}
-
 util::Status LifecycleJournal::AppendAssign(
     WorkerId worker, const std::vector<QuestionIndex>& questions) {
   Event event;
@@ -160,28 +148,22 @@ void LifecycleJournal::ReleaseLoadedEvents() {
 util::Status LifecycleJournal::Append(Event event) {
   event.seq = next_seq_++;
   const std::string line = Serialize(event);
-  if (appends_ != nullptr) appends_->Add(1);
   // drop_append and torn_append simulate the *disk* losing or tearing the
   // record in a crash the process never observes, so they return OK. Each
   // then fails the stream, as the dead process would write nothing more;
   // the test abandons this instance and recovers a fresh engine from what
   // reached the file.
   if (QASCA_FAIL_POINT("journal.drop_append")) {
-    if (failpoints_triggered_ != nullptr) failpoints_triggered_->Add(1);
     log_.setstate(std::ios::badbit);
     return util::Status::Ok();
   }
   if (QASCA_FAIL_POINT("journal.torn_append")) {
-    if (failpoints_triggered_ != nullptr) failpoints_triggered_->Add(1);
     log_ << line.substr(0, line.size() / 2) << std::flush;  // no newline
     log_.setstate(std::ios::badbit);
     return util::Status::Ok();
   }
   // A write error the stream reports, as a full disk would.
-  if (QASCA_FAIL_POINT("journal.fail_append")) {
-    if (failpoints_triggered_ != nullptr) failpoints_triggered_->Add(1);
-    log_.setstate(std::ios::badbit);
-  }
+  if (QASCA_FAIL_POINT("journal.fail_append")) log_.setstate(std::ios::badbit);
   // A stream write can fail (disk full, quota, I/O error) without throwing;
   // flush and interrogate the stream so a lost record is reported instead
   // of silently diverging from the in-memory history. A failed stream stays

@@ -9,7 +9,6 @@
 #include "core/types.h"
 #include "util/attributes.h"
 #include "util/status.h"
-#include "util/telemetry.h"
 
 namespace qasca {
 
@@ -67,10 +66,6 @@ class LifecycleJournal {
   /// append returns Internal.
   explicit LifecycleJournal(std::string path_prefix);
 
-  /// Wires the journal's counters (journal.appends, failpoint.triggered)
-  /// into `registry`. nullptr detaches.
-  void AttachTelemetry(util::MetricRegistry* registry);
-
   /// Appends one lifecycle event and flushes it to the OS (no fsync). A
   /// non-OK Status means the record did not verifiably reach the file: the
   /// caller must not report the event as recorded — an append that
@@ -106,8 +101,6 @@ class LifecycleJournal {
   uint64_t next_seq_ = 0;
   /// The file, held open for appends. Once failed it stays failed.
   std::ofstream log_;
-  util::Counter* appends_ = nullptr;
-  util::Counter* failpoints_triggered_ = nullptr;
 };
 
 }  // namespace qasca

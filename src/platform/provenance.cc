@@ -59,25 +59,6 @@ util::Status ParseInt(std::string_view line, std::string_view key, int* out) {
   return util::Status::Ok();
 }
 
-util::Status ParseBool(std::string_view line, std::string_view key,
-                       bool* out) {
-  const size_t pos = FindKey(line, key);
-  if (pos == std::string_view::npos) {
-    return util::Status::InvalidArgument("provenance line missing key \"" +
-                                         std::string(key) + "\"");
-  }
-  if (line.substr(pos, 4) == "true") {
-    *out = true;
-  } else if (line.substr(pos, 5) == "false") {
-    *out = false;
-  } else {
-    return util::Status::InvalidArgument("provenance key \"" +
-                                         std::string(key) +
-                                         "\" has a non-boolean value");
-  }
-  return util::Status::Ok();
-}
-
 // Parses the flat numeric array after `"key":[` into `out` via `parse_one`.
 template <typename T>
 util::Status ParseArray(std::string_view line, std::string_view key,
@@ -134,8 +115,6 @@ void AppendRecordJson(std::string& out, const DecisionProvenance& record) {
   out += std::to_string(record.inner_iterations);
   out += ",\"candidates\":";
   out += std::to_string(record.candidates);
-  out += ",\"cache_hit\":";
-  out += record.likelihood_cache_hit ? "true" : "false";
   out += ",\"em_generation\":";
   out += std::to_string(record.em_generation);
   out += ",\"ticks\":";
@@ -146,7 +125,8 @@ void AppendRecordJson(std::string& out, const DecisionProvenance& record) {
 }
 
 // Keys of older dumps that no field reads any more ("seq", "trace", "hit",
-// "kernel_isa", "kernel_isa_name") are skipped like any unknown key.
+// "cache_hit", "kernel_isa", "kernel_isa_name") are skipped like any
+// unknown key.
 util::Status ParseRecord(std::string_view line, DecisionProvenance* record) {
   QASCA_RETURN_IF_ERROR(
       ParseU64(line, "journal_seq", &record->journal_seq));
@@ -159,8 +139,6 @@ util::Status ParseRecord(std::string_view line, DecisionProvenance* record) {
   QASCA_RETURN_IF_ERROR(
       ParseInt(line, "inner_iterations", &record->inner_iterations));
   QASCA_RETURN_IF_ERROR(ParseInt(line, "candidates", &record->candidates));
-  QASCA_RETURN_IF_ERROR(
-      ParseBool(line, "cache_hit", &record->likelihood_cache_hit));
   QASCA_RETURN_IF_ERROR(
       ParseU64(line, "em_generation", &record->em_generation));
   QASCA_RETURN_IF_ERROR(ParseU64(line, "ticks", &record->now_ticks));

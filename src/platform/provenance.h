@@ -14,10 +14,10 @@ namespace qasca {
 
 /// Why one HIT was assigned: the chosen questions with the benefit scores
 /// that ranked them, the optimizer's diagnostics, and the engine state the
-/// decision was made under (cache usage, EM generation, lease/journal
-/// sequencing). One record per successful RequestHit, appended to the
-/// engine's ProvenanceLog and dumpable as JSONL for audit and offline
-/// regret analysis (DESIGN.md §13).
+/// decision was made under (EM generation, lease/journal sequencing). One
+/// record per successful RequestHit, appended to the engine's ProvenanceLog
+/// and dumpable as JSONL for audit and offline regret analysis (DESIGN.md
+/// §13).
 ///
 /// All timing fields are virtual (engine ticks / journal sequence numbers)
 /// — never wall-clock — so records replay bit-identically through crash
@@ -47,8 +47,6 @@ struct DecisionProvenance {
   int inner_iterations = 0;
   /// Candidate-set size |S^w| the selection was drawn from.
   int candidates = 0;
-  /// Whether the worker's likelihood table came from the per-worker cache.
-  bool likelihood_cache_hit = false;
   /// Full-EM-refit generation the decision saw (Qc posterior vintage).
   uint64_t em_generation = 0;
   /// Engine virtual clock at assignment, and the lease deadline granted.

@@ -6,7 +6,6 @@
 #include "core/assignment/fscore_online.h"
 #include "core/assignment/topk_benefit.h"
 #include "core/metrics/cost_accuracy.h"
-#include "model/likelihood_cache.h"
 #include "platform/database.h"
 #include "platform/provenance.h"
 #include "util/logging.h"
@@ -22,7 +21,6 @@ std::vector<QuestionIndex> QascaStrategy::SelectQuestions(
   QASCA_CHECK(context.metric != nullptr);
   QASCA_CHECK(context.worker_model != nullptr);
   QASCA_CHECK(context.rng != nullptr);
-  QASCA_CHECK(context.likelihood_cache != nullptr);
 
   const DistributionMatrix& qc = context.database->current();
 
@@ -39,10 +37,10 @@ std::vector<QuestionIndex> QascaStrategy::SelectQuestions(
 
   // Qw estimation (Section 5.3): materialise only the candidate rows into
   // the reusable overlay, multiplying through the requesting worker's
-  // likelihood table (cached across HITs by the engine).
+  // likelihood table, rebuilt here because every full EM refit changes the
+  // model.
   {
-    const WorkerLikelihoods& likelihoods =
-        context.likelihood_cache->Get(context.worker, *context.worker_model);
+    likelihoods_.Rebuild(*context.worker_model);
     util::Span span(context.telemetry, util::tnames::kSpanEstimateQw);
     // Accuracy* consumes each estimated row only through its max, so the
     // estimation kernel fuses the row maxima into the overlay's quality
@@ -50,7 +48,7 @@ std::vector<QuestionIndex> QascaStrategy::SelectQuestions(
     // double per candidate (AssignTopKBenefit's fused path).
     const bool fuse_row_max =
         context.metric->kind == MetricSpec::Kind::kAccuracy;
-    EstimateWorkerRowsInto(qc, *context.worker_model, likelihoods, candidates,
+    EstimateWorkerRowsInto(qc, *context.worker_model, likelihoods_, candidates,
                            QwMode::kSampled, *context.rng, &overlay_,
                            context.pool, context.telemetry, fuse_row_max);
   }

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/assignment/qw_overlay.h"
+#include "model/likelihood_cache.h"
 #include "model/posterior.h"
 #include "platform/strategy.h"
 
@@ -20,9 +21,9 @@ namespace qasca {
 /// Threading contract: inherits AssignmentStrategy's engine-thread-only
 /// SelectQuestions discipline (kernels parallelise through context.pool
 /// with const-read bodies). The instance owns reusable per-call scratch —
-/// the zero-copy Qw overlay — so one strategy must not serve two engines
-/// concurrently; scratch never carries state between calls (the overlay is
-/// re-begun per selection).
+/// the zero-copy Qw overlay and the requesting worker's likelihood table —
+/// so one strategy must not serve two engines concurrently; scratch never
+/// carries state between calls (both are rebuilt per selection).
 class QascaStrategy final : public AssignmentStrategy {
  public:
   /// Qw is always the paper's sampled estimate; the QwMode parameter stays
@@ -45,6 +46,9 @@ class QascaStrategy final : public AssignmentStrategy {
   int last_inner_iterations_ = 0;
   /// Reusable zero-copy Qw scratch (candidate rows only; DESIGN.md §12).
   QwOverlay overlay_;
+  /// The requesting worker's likelihood table, rebuilt from its current
+  /// model on every request into storage kept across requests.
+  WorkerLikelihoods likelihoods_;
 };
 
 }  // namespace qasca

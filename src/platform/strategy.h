@@ -15,7 +15,6 @@
 namespace qasca {
 
 class Database;
-class LikelihoodCache;
 struct DecisionProvenance;
 
 /// Everything a task-assignment policy may inspect when a worker requests a
@@ -33,8 +32,7 @@ struct StrategyContext {
   const Database* database = nullptr;
   /// The application's evaluation metric.
   const MetricSpec* metric = nullptr;
-  /// The requesting worker's id and fitted model (perfect for new workers).
-  WorkerId worker = 0;
+  /// The requesting worker's fitted model (perfect for new workers).
   const WorkerModel* worker_model = nullptr;
   /// A representative "average worker" model fitted over all workers —
   /// used by policies that disregard who is asking (MaxMargin). Set only
@@ -50,10 +48,6 @@ struct StrategyContext {
   /// counters; nullptr records nothing, and a disabled registry reads no
   /// clock (its counters still count). Never influences decisions.
   util::MetricRegistry* telemetry = nullptr;
-  /// Per-worker likelihood-table cache (model/likelihood_cache.h), owned
-  /// and invalidated by the engine across EM refits. Required by
-  /// Qw-estimating strategies (QascaStrategy); the baselines ignore it.
-  LikelihoodCache* likelihood_cache = nullptr;
   /// Optional out-record for decision provenance (platform/provenance.h).
   /// When non-null, strategies that can explain their choice fill the
   /// selection scores and optimizer diagnostics; the engine fills the

@@ -12,9 +12,6 @@
 namespace qasca::util {
 namespace {
 
-// Innermost enabled span on this thread; spans form an intrusive stack.
-thread_local const Span* g_current_span = nullptr;
-
 double MsFromSeconds(double seconds) { return seconds * 1e3; }
 
 // Log2 bucket index of a duration, shared by both latency instruments:
@@ -284,26 +281,29 @@ std::string MetricRegistry::ToJson() const {
 
 std::string MetricRegistry::ToReport() const {
   const TelemetrySnapshot snapshot = Snapshot();
-  if (!snapshot.enabled) {
-    return "telemetry disabled (AppConfig::telemetry_enabled = false)\n";
-  }
   std::string out;
   char line[256];
   out += "-- stage latencies (ms) --\n";
-  std::snprintf(line, sizeof(line), "%-20s %8s %10s %10s %10s %10s %12s\n",
-                "span", "count", "p50", "p95", "p99", "max", "total");
-  out += line;
-  for (const LatencySnapshot& latency : snapshot.latencies) {
-    std::snprintf(line, sizeof(line),
-                  "%-20s %8lld %10.4f %10.4f %10.4f %10.4f %12.4f\n",
-                  latency.name.c_str(),
-                  static_cast<long long>(latency.count),
-                  MsFromSeconds(latency.p50_seconds),
-                  MsFromSeconds(latency.p95_seconds),
-                  MsFromSeconds(latency.p99_seconds),
-                  MsFromSeconds(latency.max_seconds),
-                  MsFromSeconds(latency.total_seconds));
+  // Counters and gauges record on a disabled registry too; only its latency
+  // histograms stay empty, so only their table gives way to one line.
+  if (!snapshot.enabled) {
+    out += "not timed (AppConfig::telemetry_enabled = false)\n";
+  } else {
+    std::snprintf(line, sizeof(line), "%-20s %8s %10s %10s %10s %10s %12s\n",
+                  "span", "count", "p50", "p95", "p99", "max", "total");
     out += line;
+    for (const LatencySnapshot& latency : snapshot.latencies) {
+      std::snprintf(line, sizeof(line),
+                    "%-20s %8lld %10.4f %10.4f %10.4f %10.4f %12.4f\n",
+                    latency.name.c_str(),
+                    static_cast<long long>(latency.count),
+                    MsFromSeconds(latency.p50_seconds),
+                    MsFromSeconds(latency.p95_seconds),
+                    MsFromSeconds(latency.p99_seconds),
+                    MsFromSeconds(latency.max_seconds),
+                    MsFromSeconds(latency.total_seconds));
+      out += line;
+    }
   }
   out += "-- counters --\n";
   for (const CounterSnapshot& counter : snapshot.counters) {
@@ -342,9 +342,6 @@ std::string MetricRegistry::ToReport() const {
 void Span::Start(MetricRegistry* registry) noexcept {
   histogram_ = registry->GetLatency(name_);
   recorder_ = registry->flight_recorder();
-  parent_ = g_current_span;
-  depth_ = parent_ != nullptr ? parent_->depth_ + 1 : 0;
-  g_current_span = this;
   // Flight-recorder begin event before the histogram clock read so the
   // recorded interval nests strictly inside the B/E pair.
   if (recorder_ != nullptr) recorder_->RecordBegin(name_);
@@ -356,11 +353,8 @@ void Span::Finish() noexcept {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
           .count();
   if (recorder_ != nullptr) recorder_->RecordEnd(name_);
-  g_current_span = parent_;
   histogram_->RecordSeconds(seconds);
 }
-
-const Span* Span::current() noexcept { return g_current_span; }
 
 SloTracker::SloTracker(MetricRegistry* registry,
                        const Instruments& instruments, const Options& options)

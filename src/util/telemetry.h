@@ -228,7 +228,9 @@ class MetricRegistry {
   std::string ToJson() const;
 
   /// Human-readable per-stage report (aligned tables) for CLI output
-  /// (tools/qasca_sim --telemetry).
+  /// (tools/qasca_sim --telemetry). Counters and gauges are listed whether
+  /// or not the registry is enabled; a disabled one's latency table is a
+  /// single "not timed" line.
   std::string ToReport() const;
 
  private:
@@ -257,10 +259,10 @@ class MetricRegistry {
 
 /// RAII scoped timer in the spirit of Dapper-style span tracing: on
 /// destruction records the elapsed wall time into the registry's latency
-/// histogram of the same name. Spans nest — each thread tracks its active
-/// span, so a span opened inside another (assign_hit -> estimate_qw ->
-/// dinkelbach_inner) knows its parent and depth. With a null or disabled
-/// registry construction is two branches and no clock read.
+/// histogram of the same name (and, with a flight recorder attached, a
+/// begin/end event pair, whose order is the only record of nesting). With a
+/// null or disabled registry construction is two branches and no clock
+/// read.
 ///
 /// The `name` argument must be a tnames::kSpan* constant from
 /// util/telemetry_names.h (lint-enforced).
@@ -280,13 +282,6 @@ class Span {
   Span& operator=(const Span&) = delete;
 
   const char* name() const noexcept { return name_; }
-  /// Nesting depth: 0 for a root span. 0 when disabled.
-  int depth() const noexcept { return depth_; }
-  const Span* parent() const noexcept { return parent_; }
-
-  /// The innermost span currently active on this thread (nullptr outside
-  /// any enabled span).
-  static const Span* current() noexcept;
 
  private:
   void Start(MetricRegistry* registry) noexcept;
@@ -295,8 +290,6 @@ class Span {
   const char* name_;
   LatencyHistogram* histogram_ = nullptr;
   FlightRecorder* recorder_ = nullptr;
-  const Span* parent_ = nullptr;
-  int depth_ = 0;
   std::chrono::steady_clock::time_point start_{};
 };
 

@@ -43,10 +43,6 @@ inline constexpr char kEmFullRefits[] = "em.full_refits";
 inline constexpr char kEmIncrementalRefreshes[] = "em.incremental_refreshes";
 inline constexpr char kEmIterations[] = "em.iterations";
 inline constexpr char kQwSamplesDrawn[] = "qw.samples_drawn";
-// Per-worker likelihood-table cache hits/misses (DESIGN.md §12).
-inline constexpr char kQwLikelihoodCacheHits[] = "qw.likelihood_cache_hits";
-inline constexpr char kQwLikelihoodCacheMisses[] =
-    "qw.likelihood_cache_misses";
 inline constexpr char kTopkCandidatesScanned[] = "topk.candidates_scanned";
 inline constexpr char kDinkelbachOuterIterations[] =
     "dinkelbach.outer_iterations";
@@ -63,9 +59,7 @@ inline constexpr char kHitDuplicateDropped[] = "hit.duplicate_dropped";
 inline constexpr char kHitLateCompletionRejected[] =
     "hit.late_completion_rejected";
 // Lifecycle journal persistence (crash recovery, DESIGN.md §11).
-inline constexpr char kJournalAppends[] = "journal.appends";
 inline constexpr char kJournalEventsReplayed[] = "journal.events_replayed";
-inline constexpr char kFailpointsTriggered[] = "failpoint.triggered";
 // Assignment-latency SLO tracking (flight recorder PR, DESIGN.md §13):
 // samples over the p95 target and window-p95 breach transitions.
 inline constexpr char kSloAssignOverTarget[] = "slo.assign_hit.over_target";

@@ -10,11 +10,9 @@
 #include "baselines/exp_loss.h"
 #include "baselines/max_margin.h"
 #include "baselines/random_strategy.h"
-#include "model/likelihood_cache.h"
 #include "platform/database.h"
 #include "platform/qasca_strategy.h"
 #include "util/rng.h"
-#include "util/telemetry.h"
 
 namespace qasca {
 namespace {
@@ -27,17 +25,13 @@ class StrategyTest : public ::testing::Test {
       : db_(6, 2),
         worker_model_(WorkerModel::Wp(0.8, 2)),
         typical_(WorkerModel::Wp(0.75, 2)),
-        rng_(42),
-        likelihood_cache_(registry_.GetCounter("cache.hits"),
-                          registry_.GetCounter("cache.misses")) {
+        rng_(42) {
     metric_ = MetricSpec::Accuracy();
     context_.database = &db_;
     context_.metric = &metric_;
-    context_.worker = 1;
     context_.worker_model = &worker_model_;
     context_.typical_worker = &typical_;
     context_.rng = &rng_;
-    context_.likelihood_cache = &likelihood_cache_;
   }
 
   void SetTargetProbs(const std::vector<double>& probs) {
@@ -60,8 +54,6 @@ class StrategyTest : public ::testing::Test {
   WorkerModel worker_model_;
   WorkerModel typical_;
   util::Rng rng_;
-  util::MetricRegistry registry_;
-  LikelihoodCache likelihood_cache_;
   StrategyContext context_;
 };
 

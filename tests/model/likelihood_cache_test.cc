@@ -9,7 +9,6 @@
 #include "model/posterior.h"
 #include "model/worker_model.h"
 #include "util/rng.h"
-#include "util/telemetry.h"
 #include "util/thread_pool.h"
 
 namespace qasca {
@@ -46,56 +45,6 @@ TEST(WorkerLikelihoodsTest, RebuildReplacesContentsInPlace) {
   table.Rebuild(WorkerModel::Wp(0.5, 4));
   EXPECT_EQ(table.num_labels(), 4);
   EXPECT_EQ(table.Row(0)[0], 0.5);
-}
-
-TEST(LikelihoodCacheTest, MissBuildsThenHitsUntilInvalidated) {
-  util::MetricRegistry registry(/*enabled=*/false);
-  util::Counter* hits = registry.GetCounter("hits");
-  util::Counter* misses = registry.GetCounter("misses");
-  LikelihoodCache cache(hits, misses);
-  const WorkerModel model = WorkerModel::Wp(0.75, 2);
-  const WorkerLikelihoods& first = cache.Get(7, model);
-  EXPECT_EQ(cache.misses(), 1);
-  EXPECT_EQ(cache.hits(), 0);
-  EXPECT_EQ(cache.size(), 1);
-  EXPECT_EQ(first.Row(0)[0], 0.75);
-
-  const WorkerLikelihoods& second = cache.Get(7, model);
-  EXPECT_EQ(&first, &second);  // memoised, not rebuilt
-  EXPECT_EQ(cache.hits(), 1);
-  EXPECT_EQ(cache.misses(), 1);
-
-  cache.Get(8, model);
-  EXPECT_EQ(cache.misses(), 2);
-  EXPECT_EQ(cache.size(), 2);
-
-  const uint64_t generation = cache.generation();
-  cache.Invalidate();
-  EXPECT_EQ(cache.generation(), generation + 1);
-  EXPECT_EQ(cache.size(), 0);  // no entry survives a refit
-  cache.Get(7, model);
-  EXPECT_EQ(cache.misses(), 3);
-  // The counters are the cache's only hit/miss record, and they count with
-  // telemetry disabled.
-  EXPECT_EQ(hits->value(), 1);
-  EXPECT_EQ(misses->value(), 3);
-}
-
-TEST(LikelihoodCacheTest, GetReturnsExactlyFromModel) {
-  // Pure memoisation: a cached table and a fresh FromModel hold identical
-  // doubles, which is why decisions are bit-identical cache on or off.
-  util::MetricRegistry registry;
-  LikelihoodCache cache(registry.GetCounter("hits"),
-                        registry.GetCounter("misses"));
-  const WorkerModel model =
-      WorkerModel::Cm({0.9, 0.1, 0.3, 0.7}, 2);
-  const WorkerLikelihoods& cached = cache.Get(1, model);
-  const WorkerLikelihoods fresh = WorkerLikelihoods::FromModel(model);
-  for (LabelIndex a = 0; a < 2; ++a) {
-    for (LabelIndex t = 0; t < 2; ++t) {
-      EXPECT_EQ(cached.Row(a)[t], fresh.Row(a)[t]);
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 #include "model/posterior.h"
 
+#include <bit>
+#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
@@ -226,6 +228,63 @@ TEST(PosteriorTest, EstimateWorkerDistributionOnlyTouchesCandidates) {
   EXPECT_DOUBLE_EQ(qw.At(0, 0), 0.9);  // untouched
   EXPECT_NE(qw.At(1, 0), 0.3);         // conditioned
   EXPECT_TRUE(qw.IsNormalized());
+}
+
+TEST(PosteriorTest, ModelAndTableRowRoutinesAreBitIdentical) {
+  // The core's incremental refresh derives Eq. 5 rows through
+  // ComputePosteriorRowInto and perfbench's leaf rung through
+  // ComputePosteriorRowWithLikelihoods; both must multiply the same
+  // AnswerProbability doubles in the same order, so their rows and
+  // marginals agree bit for bit.
+  util::Rng rng(25);
+  for (int num_labels : {2, 3, 8}) {
+    for (int trial = 0; trial < 10; ++trial) {
+      // Even ids are WP workers, odd ids CM workers.
+      std::unordered_map<WorkerId, WorkerModel> models;
+      std::unordered_map<WorkerId, WorkerLikelihoods> tables;
+      for (WorkerId worker = 0; worker < 6; ++worker) {
+        std::vector<double> matrix;
+        for (int truth = 0; truth < num_labels; ++truth) {
+          const std::vector<double> row = RandomRow(num_labels, rng);
+          matrix.insert(matrix.end(), row.begin(), row.end());
+        }
+        const WorkerModel model =
+            worker % 2 == 0
+                ? WorkerModel::Wp(rng.Uniform(0.3, 0.95), num_labels)
+                : WorkerModel::Cm(matrix, num_labels);
+        tables.emplace(worker, WorkerLikelihoods::FromModel(model));
+        models.emplace(worker, model);
+      }
+      const LikelihoodLookup table_lookup =
+          [&tables](WorkerId worker) -> const WorkerLikelihoods& {
+        return tables.at(worker);
+      };
+      const std::vector<double> prior = RandomRow(num_labels, rng);
+      AnswerList answers;
+      for (int count = 0; count <= 12; ++count) {
+        std::vector<double> via_models;
+        std::vector<double> via_tables;
+        double models_marginal = 0.0;
+        double tables_marginal = 1.0;
+        ComputePosteriorRowInto(answers, prior, MakeLookup(models),
+                                &via_models, &models_marginal);
+        ComputePosteriorRowWithLikelihoods(answers, prior, table_lookup,
+                                           &via_tables, &tables_marginal);
+        ASSERT_EQ(via_models.size(), static_cast<size_t>(num_labels));
+        ASSERT_EQ(via_tables.size(), via_models.size());
+        for (int j = 0; j < num_labels; ++j) {
+          EXPECT_EQ(std::bit_cast<uint64_t>(via_models[j]),
+                    std::bit_cast<uint64_t>(via_tables[j]))
+              << "l=" << num_labels << " answers=" << count << " j=" << j;
+        }
+        EXPECT_EQ(std::bit_cast<uint64_t>(models_marginal),
+                  std::bit_cast<uint64_t>(tables_marginal))
+            << "l=" << num_labels << " answers=" << count;
+        answers.push_back(Answer{rng.UniformInt(6),
+                                 rng.UniformInt(num_labels)});
+      }
+    }
+  }
 }
 
 }  // namespace

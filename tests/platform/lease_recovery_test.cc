@@ -514,7 +514,6 @@ void RunCrashPoint(const std::string& fail_point) {
   util::FailPoints::Global().Arm(fail_point);
   ASSERT_TRUE(engine->RequestHit(5).ok());  // this append never survives
   EXPECT_EQ(util::FailPoints::Global().TriggeredCount(fail_point), 1u);
-  EXPECT_GE(CounterValue(*engine, "failpoint.triggered"), 1);
   // Nothing is written past the lost record.
   EXPECT_EQ(engine->RequestHit(6).status().code(),
             util::StatusCode::kInternal);

@@ -30,7 +30,6 @@ DecisionProvenance SampleRecord(uint64_t i) {
   record.outer_iterations = 2;
   record.inner_iterations = 6;
   record.candidates = 40;
-  record.likelihood_cache_hit = i % 2 == 0;
   record.em_generation = 3;
   record.now_ticks = i * 7;
   record.lease_deadline = i * 7 + 100;
@@ -66,6 +65,8 @@ TEST(ProvenanceLogTest, JsonLinesRoundTripsEveryField) {
   log.Record(SampleRecord(0));
   log.Record(SampleRecord(1));
   const std::string dump = log.ToJsonLines();
+  // Retired keys are read past, never written.
+  EXPECT_EQ(dump.find("cache_hit"), std::string::npos);
   auto parsed = ProvenanceLog::ParseJsonLines(dump);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   ASSERT_EQ(parsed->size(), 2u);
@@ -83,7 +84,6 @@ TEST(ProvenanceLogTest, JsonLinesRoundTripsEveryField) {
     EXPECT_EQ(got.outer_iterations, want.outer_iterations);
     EXPECT_EQ(got.inner_iterations, want.inner_iterations);
     EXPECT_EQ(got.candidates, want.candidates);
-    EXPECT_EQ(got.likelihood_cache_hit, want.likelihood_cache_hit);
     EXPECT_EQ(got.em_generation, want.em_generation);
     EXPECT_EQ(got.now_ticks, want.now_ticks);
     EXPECT_EQ(got.lease_deadline, want.lease_deadline);
@@ -91,9 +91,9 @@ TEST(ProvenanceLogTest, JsonLinesRoundTripsEveryField) {
 }
 
 TEST(ProvenanceLogTest, ParsesLinesWithRetiredKernelIsaKeys) {
-  // Dumps written before the kernel ISA fields and the separate record,
-  // trace and HIT ids were retired carry five extra keys; they must stay
-  // readable, with every other field intact.
+  // Dumps written before the kernel ISA fields, the separate record, trace
+  // and HIT ids and the likelihood-cache bit were retired carry six extra
+  // keys; they must stay readable, with every other field intact.
   const std::string line =
       "{\"seq\":4,\"trace\":41,\"hit\":4,\"worker\":4,"
       "\"questions\":[1,4,9],\"scores\":[0.25,0.125,0.0625],"
@@ -107,7 +107,6 @@ TEST(ProvenanceLogTest, ParsesLinesWithRetiredKernelIsaKeys) {
   const DecisionProvenance& got = (*parsed)[0];
   EXPECT_EQ(got.worker, 4);
   EXPECT_EQ(got.questions, (std::vector<QuestionIndex>{1, 4, 9}));
-  EXPECT_TRUE(got.likelihood_cache_hit);
   EXPECT_EQ(got.em_generation, 3u);
   EXPECT_EQ(got.journal_seq, 8u);
   EXPECT_EQ(got.now_ticks, 28u);

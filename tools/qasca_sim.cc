@@ -25,8 +25,8 @@
 //   --provenance-out FILE
 //                  with the same instrumented run, write one JSONL decision
 //                  provenance record per assignment (chosen questions +
-//                  benefit scores, cache usage, EM generation, journal
-//                  sequencing); combine with --trace-out to get both from a
+//                  benefit scores, EM generation, journal sequencing);
+//                  combine with --trace-out to get both from a
 //                  single run
 //   --apps N       serving mode (DESIGN.md §14): host N QASCA apps in one
 //                  AppManager and storm them with a seeded interleaved

@@ -67,8 +67,11 @@
 #      provenance record inside the exported trace has an assign_hit span
 #      carrying its journal_seq as the trace arg); then the benchmark of record
 #      (perfbench/run.py) on both gated workloads and pool_1e5 for 5 s
-#      each plus one traced serve_4app run, each of which must report
-#      "correct": true (decision hashes, fingerprints and scripted counts)
+#      each plus traced serve_4app and pool_1e5 runs, each of which must
+#      report "correct": true (decision hashes, fingerprints and scripted
+#      counts); the traced pool_1e5 ladder is the only one in which two
+#      rungs refresh rows incrementally (the core through the model routine,
+#      the leaf through the table routine)
 #  13. telemetry-overhead smoke: disabled-telemetry instrumentation on a
 #      hot loop must cost < 2%, as the median over 101 back-to-back
 #      bare/instrumented pairs; also drives the enabled+flight-recorder
@@ -322,9 +325,9 @@ EOF
 # state fingerprint and scripted count of its run and reports the verdict
 # as "correct" in the JSON result on its last stdout line. Short runs of
 # both gated workloads and of pool_1e5 (the only workload with a thread
-# pool and incremental refresh), plus one traced run (the per-layer replay
-# ladder, whose every rung must reproduce the decision hash), must all say
-# true.
+# pool and incremental refresh), plus traced serve_4app and pool_1e5 runs
+# (the per-layer replay ladder, whose every rung must reproduce the
+# decision hash), must all say true.
 perfbench_correct() {
   local out
   out="$(python3 perfbench/run.py --workload "$1" --seconds 5 --trace "$2")" ||
@@ -342,6 +345,7 @@ run perfbench_correct er_fscore 0
 run perfbench_correct serve_4app 0
 run perfbench_correct serve_4app 1
 run perfbench_correct pool_1e5 0
+run perfbench_correct pool_1e5 1
 stage_pass
 
 stage_begin "telemetry-overhead smoke (disabled instruments < 2%)"
