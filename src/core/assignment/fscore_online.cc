@@ -1,7 +1,10 @@
 #include "core/assignment/fscore_online.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -22,54 +25,110 @@ constexpr int kMaxOuterIterations = 1000;
 // beta and gamma are folded per block of this many questions, then block by
 // block in order: the association the pinned decisions depend on.
 constexpr int kBetaGammaBlock = 512;
+// Blocks whose chains advance side by side. Each lane still folds its own
+// block in order from (0, 0), so the lanes change the speed, not the bits.
+// A group of fewer blocks (the column's last) folds block by block.
+constexpr int kBetaGammaLanes = 4;
+
+using BetaGamma = std::pair<double, double>;
+
+void CheckOptions(const FScoreAssignmentOptions& options, int num_labels) {
+  QASCA_CHECK_GT(options.alpha, 0.0);
+  QASCA_CHECK_LT(options.alpha, 1.0);
+  QASCA_CHECK_GE(options.target_label, 0);
+  QASCA_CHECK_LT(options.target_label, num_labels);
+}
+
+// beta / gamma accumulate the "if unassigned" contribution of every
+// question (Theorem 4's construction, with \hat{r}^c given by the
+// delta*alpha threshold of Eq. 15). The conditional terms are added
+// branch-free: a running sum that starts at +0.0 never becomes -0.0, so
+// adding +0.0 for an unmet threshold leaves it bit for bit unchanged.
+BetaGamma FoldBetaGamma(const std::vector<double>& current, double alpha,
+                        double threshold) {
+  const int n = static_cast<int>(current.size());
+  const int num_blocks = (n + kBetaGammaBlock - 1) / kBetaGammaBlock;
+  const int num_groups = (num_blocks + kBetaGammaLanes - 1) / kBetaGammaLanes;
+  return util::DeterministicFold(
+      BetaGamma(0.0, 0.0), 0, num_groups, [&](BetaGamma total, int group) {
+        const int first_block = group * kBetaGammaLanes;
+        const int blocks = std::min(kBetaGammaLanes, num_blocks - first_block);
+        const double* column =
+            current.data() + static_cast<size_t>(first_block) * kBetaGammaBlock;
+        const auto length = [&](int b) {
+          return std::min(kBetaGammaBlock,
+                          n - (first_block + b) * kBetaGammaBlock);
+        };
+        // Lane b is block first_block + b's chain.
+        double beta[kBetaGammaLanes] = {};
+        double gamma[kBetaGammaLanes] = {};
+        const auto step = [&](int b, int j) {
+          const double pc = column[b * kBetaGammaBlock + j];
+          const bool rc = pc >= threshold;
+          beta[b] += rc ? pc : 0.0;
+          gamma[b] += rc ? alpha : 0.0;
+          gamma[b] += (1.0 - alpha) * pc;
+        };
+        if (blocks == kBetaGammaLanes) {
+          // Only the column's last block can be short: four lanes while it
+          // lasts, then the other three.
+          const int last = length(3);
+          for (int j = 0; j < last; ++j) {
+            step(0, j);
+            step(1, j);
+            step(2, j);
+            step(3, j);
+          }
+          for (int j = last; j < kBetaGammaBlock; ++j) {
+            step(0, j);
+            step(1, j);
+            step(2, j);
+          }
+        } else {
+          for (int b = 0; b < blocks; ++b) {
+            for (int j = 0; j < length(b); ++j) step(b, j);
+          }
+        }
+        for (int b = 0; b < blocks; ++b) {
+          total.first += beta[b];
+          total.second += gamma[b];
+        }
+        return total;
+      });
+}
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
 
 // One Update step (Definition 2 / Algorithm 3): given delta, fill `problem`
 // with the 0-1 fractional program of Theorem 4 and solve it over "exactly k
 // questions from the candidate set". Returns the maximising selection, the
 // updated delta_{t+1}, and the inner Dinkelbach iteration count v.
-// `current` is Qc's target column; `estimated[c]` is Qw's target entry of
-// question candidates[c]. `problem` holds n-sized b and d; only candidate
-// entries are written, and SolveExactlyK reads no others.
+// `estimated[c]` is Qw's target entry of question candidates[c]. The first
+// step runs at delta = prepared.delta_init, whose beta/gamma the preparation
+// already folded. `problem` holds n-sized b and d; only candidate entries
+// are written, and SolveExactlyK reads no others.
 FractionalSolution UpdateDelta(const AssignmentRequest& request,
-                               const FScoreAssignmentOptions& options,
-                               const std::vector<double>& current,
+                               const FScoreCurrent& prepared,
                                const std::vector<double>& estimated,
-                               double delta,
+                               double delta, bool first_update,
                                ZeroOneFractionalProgram* problem) {
   // One span per Update call: the nested Dinkelbach solve of Algorithm 3.
   util::Span span(request.telemetry, util::tnames::kSpanDinkelbachInner);
-  const int n = static_cast<int>(current.size());
-  const double alpha = options.alpha;
+  const std::vector<double>& current = prepared.column;
+  const double alpha = prepared.options.alpha;
   const double threshold = delta * alpha;
 
-  // beta / gamma accumulate the "if unassigned" contribution of every
-  // question; b_i / d_i hold the swing from assigning candidate i
-  // (Theorem 4's construction, with \hat{r}^c, \hat{r}^w given by the
-  // delta*alpha threshold of Eq. 15). The conditional terms are added
-  // branch-free: a running sum that starts at +0.0 never becomes -0.0, so
-  // adding +0.0 for an unmet threshold leaves it bit for bit unchanged.
-  const int num_blocks = (n + kBetaGammaBlock - 1) / kBetaGammaBlock;
-  const auto [beta, gamma] = util::DeterministicFold(
-      std::pair<double, double>(0.0, 0.0), 0, num_blocks,
-      [&](std::pair<double, double> total, int block) {
-        const int begin = block * kBetaGammaBlock;
-        const auto [block_beta, block_gamma] = util::DeterministicFold(
-            std::pair<double, double>(0.0, 0.0), begin,
-            std::min(n, begin + kBetaGammaBlock),
-            [&](std::pair<double, double> acc, int i) {
-              const double pc = current[static_cast<size_t>(i)];
-              const bool rc = pc >= threshold;
-              acc.first += rc ? pc : 0.0;
-              acc.second += rc ? alpha : 0.0;
-              acc.second += (1.0 - alpha) * pc;
-              return acc;
-            });
-        total.first += block_beta;
-        total.second += block_gamma;
-        return total;
-      });
-  problem->beta = beta;
-  problem->gamma = gamma;
+  if (first_update) {
+    problem->beta = prepared.beta;
+    problem->gamma = prepared.gamma;
+  } else {
+    std::tie(problem->beta, problem->gamma) =
+        FoldBetaGamma(current, alpha, threshold);
+  }
+  // b_i / d_i hold the swing from assigning candidate i, with \hat{r}^c,
+  // \hat{r}^w given by the delta*alpha threshold of Eq. 15.
   for (size_t c = 0; c < request.candidates.size(); ++c) {
     const auto i = static_cast<size_t>(request.candidates[c]);
     const double pc = current[i];
@@ -85,29 +144,18 @@ FractionalSolution UpdateDelta(const AssignmentRequest& request,
                        /*lambda_init=*/0.0);
 }
 
-}  // namespace
-
-AssignmentResult AssignFScoreOnline(const AssignmentRequest& request,
-                                    const FScoreAssignmentOptions& options) {
-  ValidateRequest(request);
-  util::Span span(request.telemetry, util::tnames::kSpanFscoreOnline);
-  QASCA_CHECK_GT(options.alpha, 0.0);
-  QASCA_CHECK_LT(options.alpha, 1.0);
-  QASCA_CHECK_GE(options.target_label, 0);
-  QASCA_CHECK_LT(options.target_label, request.current->num_labels());
-
+// The algorithm proper; both entry points validate and open the span.
+AssignmentResult Assign(const AssignmentRequest& request,
+                        const FScoreCurrent& prepared) {
   const DistributionMatrix& qc = *request.current;
   const int n = qc.num_questions();
-  const LabelIndex t = options.target_label;
+  CheckOptions(prepared.options, qc.num_labels());
+  QASCA_CHECK_EQ(prepared.column.size(), static_cast<size_t>(n));
+  const LabelIndex t = prepared.options.target_label;
+  const std::vector<double>& current = prepared.column;
 
-  // Neither Qc nor Qw changes across the Update calls of one request, so
-  // their target-label probabilities are gathered once: Qc's column over
-  // all n questions, Qw's entry per candidate position.
-  std::vector<double> current(static_cast<size_t>(n));
-  const double* cells = qc.Row(0).data();
-  for (size_t i = 0; i < current.size(); ++i) {
-    current[i] = cells[i * static_cast<size_t>(qc.num_labels()) + t];
-  }
+  // Qw does not change across the Update calls of one request, so its
+  // target entry per candidate position is gathered once.
   std::vector<double> estimated(request.candidates.size());
   for (size_t c = 0; c < estimated.size(); ++c) {
     estimated[c] = request.EstimatedRow(request.candidates[c])[t];
@@ -116,9 +164,9 @@ AssignmentResult AssignFScoreOnline(const AssignmentRequest& request,
   // Degenerate instance: every target probability is zero, so F-score* is 0
   // for every assignment. Every score ties, and the selection order (score
   // descending, then question ascending) picks the k smallest candidates.
-  const auto positive = [](double p) { return p > 0.0; };
-  if (std::none_of(current.begin(), current.end(), positive) &&
-      std::none_of(estimated.begin(), estimated.end(), positive)) {
+  if (!prepared.has_target_mass &&
+      std::none_of(estimated.begin(), estimated.end(),
+                   [](double p) { return p > 0.0; })) {
     AssignmentResult result;
     result.selected = request.candidates;
     std::partial_sort(result.selected.begin(),
@@ -130,21 +178,14 @@ AssignmentResult AssignFScoreOnline(const AssignmentRequest& request,
     return result;
   }
 
-  double delta = 0.0;
+  double delta = prepared.delta_init;
   AssignmentResult result;
-  if (options.warm_start) {
-    // delta'_init = F(Qc): a valid lower bound on delta* because the
-    // optimum over Q^X differs from Qc in only k rows and delta increases
-    // monotonically from any lower bound (Theorem 3).
-    delta = SolveFScoreColumn(current, options.alpha).value;
-  }
-
   ZeroOneFractionalProgram problem;
   problem.b.assign(static_cast<size_t>(n), 0.0);
   problem.d.assign(static_cast<size_t>(n), 0.0);
   for (int outer = 1; outer <= kMaxOuterIterations; ++outer) {
-    FractionalSolution update =
-        UpdateDelta(request, options, current, estimated, delta, &problem);
+    FractionalSolution update = UpdateDelta(request, prepared, estimated,
+                                            delta, outer == 1, &problem);
     // Theorem 3 monotonicity holds from the second Update on: after one
     // step delta is the value of a feasible (X, R) pair, hence a valid
     // lower bound. The very first step may shrink an overshooting warm
@@ -189,6 +230,57 @@ AssignmentResult AssignFScoreOnline(const AssignmentRequest& request,
   }
   QASCA_CHECK(false) << "F-score online assignment failed to converge";
   return result;  // Unreachable.
+}
+
+}  // namespace
+
+FScoreCurrent PrepareFScoreCurrent(const DistributionMatrix& qc,
+                                   const FScoreAssignmentOptions& options) {
+  CheckOptions(options, qc.num_labels());
+  FScoreCurrent prepared;
+  prepared.options = options;
+  // Qc's target column, gathered once for every Update call that reads it.
+  const auto labels = static_cast<size_t>(qc.num_labels());
+  const double* cells = qc.Row(0).data();
+  prepared.column.resize(static_cast<size_t>(qc.num_questions()));
+  for (size_t i = 0; i < prepared.column.size(); ++i) {
+    prepared.column[i] = cells[i * labels + options.target_label];
+  }
+  prepared.has_target_mass =
+      std::any_of(prepared.column.begin(), prepared.column.end(),
+                  [](double p) { return p > 0.0; });
+  if (options.warm_start) {
+    // delta'_init = F(Qc): a valid lower bound on delta* because the
+    // optimum over Q^X differs from Qc in only k rows and delta increases
+    // monotonically from any lower bound (Theorem 3).
+    prepared.delta_init =
+        SolveFScoreColumn(prepared.column, options.alpha).value;
+  }
+  std::tie(prepared.beta, prepared.gamma) = FoldBetaGamma(
+      prepared.column, options.alpha, prepared.delta_init * options.alpha);
+  return prepared;
+}
+
+bool IdenticalBits(const FScoreCurrent& a, const FScoreCurrent& b) {
+  return a.options == b.options && a.has_target_mass == b.has_target_mass &&
+         SameBits(a.delta_init, b.delta_init) && SameBits(a.beta, b.beta) &&
+         SameBits(a.gamma, b.gamma) &&
+         std::equal(a.column.begin(), a.column.end(), b.column.begin(),
+                    b.column.end(), SameBits);
+}
+
+AssignmentResult AssignFScoreOnline(const AssignmentRequest& request,
+                                    const FScoreAssignmentOptions& options) {
+  ValidateRequest(request);
+  util::Span span(request.telemetry, util::tnames::kSpanFscoreOnline);
+  return Assign(request, PrepareFScoreCurrent(*request.current, options));
+}
+
+AssignmentResult AssignFScoreOnline(const AssignmentRequest& request,
+                                    const FScoreCurrent& prepared) {
+  ValidateRequest(request);
+  util::Span span(request.telemetry, util::tnames::kSpanFscoreOnline);
+  return Assign(request, prepared);
 }
 
 }  // namespace qasca

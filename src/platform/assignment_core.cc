@@ -35,6 +35,7 @@ AssignmentCore::AssignmentCore(const AppConfig* config,
     pool_ = std::make_unique<util::ThreadPool>(config_.num_threads);
     pool_->AttachTelemetry(&telemetry_);
   }
+  strategy_->PrepareForQc(database_, config_.metric);
 }
 
 util::StatusOr<AssignmentCore::Decision> AssignmentCore::Decide(
@@ -155,6 +156,7 @@ void AssignmentCore::ApplyCompletion(
     RunFullEmRefit();
   } else {
     em_incremental_refreshes_counter_->Add(1);
+    strategy_->PrepareForQc(database_, config_.metric);
   }
 }
 
@@ -203,6 +205,7 @@ void AssignmentCore::RunFullEmRefit() {
   incremental_since_refit_ = false;
   // The fitted worker pool changed; the cached typical worker is stale.
   typical_worker_.reset();
+  strategy_->PrepareForQc(database_, config_.metric);
 }
 
 ResultVector AssignmentCore::CurrentResults() const {

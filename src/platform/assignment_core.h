@@ -81,8 +81,10 @@ class AssignmentCore {
   /// to the answer set D, then refreshes Qc — incrementally re-deriving
   /// just the touched posterior rows between scheduled refits, or running
   /// the full EM refit when the cycle (config.em_refresh_interval) comes
-  /// due. `labels` must parallel `questions`; both must be the HIT the
-  /// worker actually holds (the shell's lease table enforces that).
+  /// due — and has the strategy prepare its Qc-only inputs for the new Qc
+  /// (AssignmentStrategy::PrepareForQc). `labels` must parallel
+  /// `questions`; both must be the HIT the worker actually holds (the
+  /// shell's lease table enforces that).
   void ApplyCompletion(WorkerId worker,
                        const std::vector<QuestionIndex>& questions,
                        const std::vector<LabelIndex>& labels);

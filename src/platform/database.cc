@@ -86,6 +86,7 @@ int Database::AnswerCount(QuestionIndex question) const {
 
 void Database::SetParameters(EmResult parameters) {
   parameters_ = std::move(parameters);
+  ++qc_version_;
 }
 
 void Database::UpdatePosteriorRow(QuestionIndex question,
@@ -95,6 +96,7 @@ void Database::UpdatePosteriorRow(QuestionIndex question,
   // The engine may be mid-run with a posterior shaped before any full fit.
   QASCA_CHECK_EQ(parameters_.posterior.num_questions(), num_questions_);
   parameters_.posterior.SetRow(question, row);
+  ++qc_version_;
 }
 
 }  // namespace qasca

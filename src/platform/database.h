@@ -1,6 +1,7 @@
 #ifndef QASCA_PLATFORM_DATABASE_H_
 #define QASCA_PLATFORM_DATABASE_H_
 
+#include <cstdint>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -58,7 +59,7 @@ class Database {
   const AnswerSet& answers() const { return answers_; }
 
   /// Replaces the cached model parameters (worker models + prior +
-  /// posterior Qc) with a fresh EM fit.
+  /// posterior Qc) with a fresh EM fit. Bumps qc_version().
   void SetParameters(EmResult parameters);
   const EmResult& parameters() const { return parameters_; }
 
@@ -67,9 +68,14 @@ class Database {
   /// untouched. Used between full EM refits, when a HIT completion changed
   /// only the answer sets of its k questions (the posterior update of Eq. 5
   /// touches exactly those rows). `row` must be a normalised distribution
-  /// of num_labels() entries.
+  /// of num_labels() entries. Bumps qc_version().
   void UpdatePosteriorRow(QuestionIndex question,
                           std::span<const double> row);
+
+  /// Counts the writes to Qc (SetParameters, UpdatePosteriorRow), so a
+  /// reader holding values derived from Qc can tell whether they are still
+  /// current: equal versions mean an unchanged Qc.
+  uint64_t qc_version() const { return qc_version_; }
 
   /// The current distribution matrix Qc: the cached parameters' posterior.
   /// Before any HIT completes this is the uniform prior (Section 5.1).
@@ -82,6 +88,7 @@ class Database {
   /// Each worker's assigned questions, ascending.
   std::unordered_map<WorkerId, std::vector<QuestionIndex>> assigned_;
   EmResult parameters_;
+  uint64_t qc_version_ = 0;
 };
 
 }  // namespace qasca

@@ -13,6 +13,24 @@
 #include "util/telemetry_names.h"
 
 namespace qasca {
+namespace {
+
+FScoreAssignmentOptions FScoreOptions(const MetricSpec& metric) {
+  FScoreAssignmentOptions options;
+  options.alpha = metric.alpha;
+  options.target_label = metric.target_label;
+  options.warm_start = true;
+  return options;
+}
+
+}  // namespace
+
+void QascaStrategy::PrepareForQc(const Database& database,
+                                 const MetricSpec& metric) {
+  if (metric.kind != MetricSpec::Kind::kFScore) return;
+  fscore_ = PrepareFScoreCurrent(database.current(), FScoreOptions(metric));
+  fscore_qc_version_ = database.qc_version();
+}
 
 std::vector<QuestionIndex> QascaStrategy::SelectQuestions(
     const StrategyContext& context,
@@ -69,11 +87,16 @@ std::vector<QuestionIndex> QascaStrategy::SelectQuestions(
           return metric.RowQuality(row);
         });
   } else {
-    FScoreAssignmentOptions options;
-    options.alpha = context.metric->alpha;
-    options.target_label = context.metric->target_label;
-    options.warm_start = true;
-    result = AssignFScoreOnline(request, options);
+    // Inputs prepared before a Qc change nobody announced, or for other
+    // options, are rebuilt here rather than read.
+    const FScoreAssignmentOptions options = FScoreOptions(*context.metric);
+    if (!fscore_.has_value() || fscore_->options != options ||
+        fscore_qc_version_ != context.database->qc_version()) {
+      PrepareForQc(*context.database, *context.metric);
+    }
+    QASCA_DCHECK(IdenticalBits(*fscore_, PrepareFScoreCurrent(qc, options)))
+        << "prepared F-score inputs differ from a fresh preparation";
+    result = AssignFScoreOnline(request, *fscore_);
   }
   last_outer_iterations_ = result.outer_iterations;
   last_inner_iterations_ = result.inner_iterations;

@@ -1,9 +1,12 @@
 #ifndef QASCA_PLATFORM_QASCA_STRATEGY_H_
 #define QASCA_PLATFORM_QASCA_STRATEGY_H_
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "core/assignment/fscore_online.h"
 #include "core/assignment/qw_overlay.h"
 #include "model/likelihood_cache.h"
 #include "model/posterior.h"
@@ -22,8 +25,10 @@ namespace qasca {
 /// SelectQuestions discipline (kernels parallelise through context.pool
 /// with const-read bodies). The instance owns reusable per-call scratch —
 /// the zero-copy Qw overlay and the requesting worker's likelihood table —
-/// so one strategy must not serve two engines concurrently; scratch never
-/// carries state between calls (both are rebuilt per selection).
+/// which never carries state between calls (both are rebuilt per
+/// selection). The one state kept across calls is the F-score app's
+/// Qc-only inputs, tagged with the Database::qc_version() they were
+/// prepared for, so one strategy serves one engine's Database.
 class QascaStrategy final : public AssignmentStrategy {
  public:
   /// Qw is always the paper's sampled estimate; the QwMode parameter stays
@@ -32,9 +37,20 @@ class QascaStrategy final : public AssignmentStrategy {
 
   std::string name() const override { return "QASCA"; }
 
+  /// F-score apps: prepares PrepareFScoreCurrent(Qc) for the metric's alpha
+  /// and target label. Other metrics read nothing Qc-only.
+  void PrepareForQc(const Database& database,
+                    const MetricSpec& metric) override;
+
   std::vector<QuestionIndex> SelectQuestions(
       const StrategyContext& context,
       const std::vector<QuestionIndex>& candidates, int k) override;
+
+  /// The prepared F-score inputs; nullptr until the first F-score
+  /// preparation.
+  const FScoreCurrent* prepared_fscore() const {
+    return fscore_.has_value() ? &*fscore_ : nullptr;
+  }
 
   /// Diagnostics of the most recent selection (for the Figure 4
   /// experiments).
@@ -49,6 +65,10 @@ class QascaStrategy final : public AssignmentStrategy {
   /// The requesting worker's likelihood table, rebuilt from its current
   /// model on every request into storage kept across requests.
   WorkerLikelihoods likelihoods_;
+  /// F-score inputs prepared for the Qc whose Database::qc_version() is
+  /// fscore_qc_version_.
+  std::optional<FScoreCurrent> fscore_;
+  uint64_t fscore_qc_version_ = 0;
 };
 
 }  // namespace qasca

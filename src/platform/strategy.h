@@ -77,6 +77,15 @@ class AssignmentStrategy {
   /// core builds that model only for strategies that do.
   virtual bool ReadsTypicalWorker() const { return false; }
 
+  /// Rebuilds what the strategy derives from Qc alone, for `metric`. The
+  /// core calls it right after every Qc change (construction, full EM
+  /// refit, incremental refresh), on the completion path, so requests read
+  /// the result instead of recomputing it. SelectQuestions must still
+  /// detect inputs left stale by a Qc change made without this call
+  /// (Database::qc_version) and rebuild them. Default: nothing to prepare.
+  virtual void PrepareForQc(const Database& /*database*/,
+                            const MetricSpec& /*metric*/) {}
+
   /// Selects exactly `k` distinct questions from `candidates`.
   /// `candidates` is non-empty and has at least k elements.
   virtual std::vector<QuestionIndex> SelectQuestions(

@@ -166,9 +166,11 @@ AppConfig MakeAppConfig(const ApplicationSpec& spec) {
   config.metric = spec.metric;
   config.worker_kind = spec.worker_kind;
   config.em.worker_kind = spec.worker_kind;
-  // EM re-runs on every HIT completion; it converges in a handful of
-  // rounds from the vote-count bootstrap, so a tight budget keeps the
-  // end-to-end experiments fast without measurable quality impact.
+  // EM re-runs on every HIT completion, and the 15-round cap truncates
+  // the fit: on ER-shaped data EM needs 164-417 rounds to reach its
+  // tolerance, so the median refit stops at the cap (ROADMAP item 7). The
+  // cap keeps the end-to-end experiments fast; the truncated fit is the
+  // estimator the paper apps run.
   config.em.max_iterations = 15;
   config.em.tolerance = 1e-5;
   config.em.smoothing = 0.3;

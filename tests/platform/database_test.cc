@@ -51,6 +51,21 @@ TEST(DatabaseTest, SetParametersRefreshesCurrent) {
   EXPECT_DOUBLE_EQ(db.current().At(0, 0), 0.9);
 }
 
+TEST(DatabaseTest, QcVersionCountsExactlyTheWritesToQc) {
+  Database db(4, 2);
+  EXPECT_EQ(db.qc_version(), 0u);
+  db.MarkAssigned(1, {0, 1});
+  db.Unassign(1, {1});
+  db.RecordAnswer(0, 1, 1);
+  EXPECT_EQ(db.qc_version(), 0u);
+  db.UpdatePosteriorRow(2, std::vector<double>{0.25, 0.75});
+  EXPECT_EQ(db.qc_version(), 1u);
+  EmResult parameters;
+  parameters.posterior = DistributionMatrix(4, 2);
+  db.SetParameters(parameters);
+  EXPECT_EQ(db.qc_version(), 2u);
+}
+
 TEST(DatabaseTest, CandidatesMatchBruteForceUnderRandomAssignAndUnassign) {
   constexpr int kQuestions = 40;
   constexpr int kWorkers = 4;
