@@ -6,6 +6,8 @@
 
 #include "core/assignment/qw_overlay.h"
 #include "core/distribution_matrix.h"
+#include "core/fractional.h"
+#include "core/top_k.h"
 #include "core/types.h"
 
 namespace qasca::util {
@@ -15,6 +17,26 @@ class ThreadPool;
 
 namespace qasca {
 
+/// Buffers an assignment call fills and reads within the call. A server
+/// keeps one across requests (QascaStrategy owns one), so a warmed-up
+/// request allocates nothing of size n (DESIGN.md §12, "Request-scoped
+/// scratch"); a request without one gets empty buffers local to the call.
+/// Nothing in them carries over from one call to the next.
+struct AssignmentScratch {
+  /// F-score: Qw's target entry per candidate position.
+  std::vector<double> estimated;
+  /// F-score: the Update step's program. b and d are n-sized and written
+  /// only at candidate entries, the only ones the solver reads.
+  ZeroOneFractionalProgram problem;
+  /// F-score: the Dinkelbach solve's maximisers and top-k buffer.
+  ExactlyKSolution solution;
+  /// Top-K benefit scan: each chunk's k best and their count, then the
+  /// chunk-ordered merge.
+  std::vector<ScoredQuestion> chunk_top;
+  std::vector<int> chunk_counts;
+  std::vector<ScoredQuestion> merged;
+};
+
 /// Inputs common to every task-assignment call (Definition 1): the current
 /// distribution matrix Qc, the estimated distribution matrix Qw for the
 /// requesting worker, the worker's candidate set S^w (questions not yet
@@ -23,11 +45,13 @@ namespace qasca {
 /// Rows of `estimated` outside `candidates` are never read.
 ///
 /// Zero-copy form (DESIGN.md §12): when `overlay` is set, only the candidate
-/// rows of Qw exist — materialised in the overlay's scratch — and
-/// `estimated` points at Qc so non-candidate reads fall through to the
-/// current matrix. Algorithms read Qw rows through EstimatedRow(), which
-/// resolves overlay-then-fallthrough; both representations hold the same
-/// doubles, so selections are bit-identical either way.
+/// rows of Qw exist — materialised in the overlay's scratch, slot c holding
+/// candidates[c]'s row as EstimateWorkerRowsInto fills it — and `estimated`
+/// points at Qc so non-candidate reads fall through to the current matrix.
+/// Algorithms read Qw rows through EstimatedRow(), which resolves
+/// overlay-then-fallthrough, or per candidate position through
+/// EstimatedSlotRow(); both representations hold the same doubles, so
+/// selections are bit-identical either way.
 struct AssignmentRequest {
   const DistributionMatrix* current = nullptr;    // Qc
   const DistributionMatrix* estimated = nullptr;  // Qw
@@ -41,10 +65,13 @@ struct AssignmentRequest {
   /// produces bit-identical selections (fixed-grain chunking, chunk-ordered
   /// reductions — see util/thread_pool.h).
   util::ThreadPool* pool = nullptr;
-  /// Optional telemetry registry (stage spans, candidate/iteration
-  /// counters); nullptr records nothing, a disabled registry reads no
-  /// clock, and neither influences the selection.
+  /// Optional telemetry registry for stage spans; nullptr records nothing,
+  /// a disabled registry reads no clock, and neither influences the
+  /// selection. Counts of the work done (candidates scanned, Dinkelbach
+  /// iterations) are the caller's to record from the result.
   util::MetricRegistry* telemetry = nullptr;
+  /// Optional reusable buffers; nullptr uses buffers local to the call.
+  AssignmentScratch* scratch = nullptr;
   /// Whether the Top-K benefit algorithms should also evaluate the
   /// objective F(Q^X*) (an O(n) row-quality sweep per request on top of
   /// the candidate scan). The serving path only consumes `selected`, so
@@ -60,6 +87,18 @@ struct AssignmentRequest {
   std::span<const double> EstimatedRow(QuestionIndex i) const {
     if (overlay != nullptr && overlay->Contains(i)) return overlay->Row(i);
     return estimated->Row(i);
+  }
+
+  /// The Qw row of candidates[c]: overlay slot c when an overlay is
+  /// attached (no per-question lookup), else that row of `estimated`.
+  std::span<const double> EstimatedSlotRow(size_t c) const {
+    const QuestionIndex i = candidates[c];
+    if (overlay == nullptr) return estimated->Row(i);
+    QASCA_DCHECK(overlay->Contains(i) &&
+                 overlay->Row(i).data() ==
+                     overlay->SlotRow(static_cast<int>(c)).data())
+        << "overlay slot " << c << " does not hold candidate " << i;
+    return overlay->SlotRow(static_cast<int>(c));
   }
 };
 

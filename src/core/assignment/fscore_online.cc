@@ -39,6 +39,13 @@ void CheckOptions(const FScoreAssignmentOptions& options, int num_labels) {
   QASCA_CHECK_LT(options.target_label, num_labels);
 }
 
+// `value` when `keep`, else +0.0: a bit mask of all ones or all zeros,
+// so the pick is an and, not a branch on the comparison behind `keep`.
+inline double KeepIf(bool keep, double value) {
+  const uint64_t mask = 0 - static_cast<uint64_t>(keep);
+  return std::bit_cast<double>(std::bit_cast<uint64_t>(value) & mask);
+}
+
 // beta / gamma accumulate the "if unassigned" contribution of every
 // question (Theorem 4's construction, with \hat{r}^c given by the
 // delta*alpha threshold of Eq. 15). The conditional terms are added
@@ -65,8 +72,8 @@ BetaGamma FoldBetaGamma(const std::vector<double>& current, double alpha,
         const auto step = [&](int b, int j) {
           const double pc = column[b * kBetaGammaBlock + j];
           const bool rc = pc >= threshold;
-          beta[b] += rc ? pc : 0.0;
-          gamma[b] += rc ? alpha : 0.0;
+          beta[b] += KeepIf(rc, pc);
+          gamma[b] += KeepIf(rc, alpha);
           gamma[b] += (1.0 - alpha) * pc;
         };
         if (blocks == kBetaGammaLanes) {
@@ -101,47 +108,50 @@ bool SameBits(double a, double b) {
   return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
 }
 
-// One Update step (Definition 2 / Algorithm 3): given delta, fill `problem`
-// with the 0-1 fractional program of Theorem 4 and solve it over "exactly k
-// questions from the candidate set". Returns the maximising selection, the
-// updated delta_{t+1}, and the inner Dinkelbach iteration count v.
-// `estimated[c]` is Qw's target entry of question candidates[c]. The first
-// step runs at delta = prepared.delta_init, whose beta/gamma the preparation
-// already folded. `problem` holds n-sized b and d; only candidate entries
+// One Update step (Definition 2 / Algorithm 3): given delta, fill
+// scratch->problem with the 0-1 fractional program of Theorem 4 and solve
+// it over "exactly k questions from the candidate set" into
+// scratch->solution: the maximising selection (ascending), the updated
+// delta_{t+1} and the inner Dinkelbach iteration count v.
+// scratch->estimated[c] is Qw's target entry of question candidates[c].
+// The first step runs at delta = prepared.delta_init, whose beta/gamma the
+// preparation already folded. b and d are n-sized; only candidate entries
 // are written, and SolveExactlyK reads no others.
-FractionalSolution UpdateDelta(const AssignmentRequest& request,
-                               const FScoreCurrent& prepared,
-                               const std::vector<double>& estimated,
-                               double delta, bool first_update,
-                               ZeroOneFractionalProgram* problem) {
+void UpdateDelta(const AssignmentRequest& request,
+                 const FScoreCurrent& prepared, double delta,
+                 bool first_update, AssignmentScratch* scratch) {
   // One span per Update call: the nested Dinkelbach solve of Algorithm 3.
   util::Span span(request.telemetry, util::tnames::kSpanDinkelbachInner);
   const std::vector<double>& current = prepared.column;
+  const double* estimated = scratch->estimated.data();
+  ZeroOneFractionalProgram& problem = scratch->problem;
   const double alpha = prepared.options.alpha;
   const double threshold = delta * alpha;
 
   if (first_update) {
-    problem->beta = prepared.beta;
-    problem->gamma = prepared.gamma;
+    problem.beta = prepared.beta;
+    problem.gamma = prepared.gamma;
   } else {
-    std::tie(problem->beta, problem->gamma) =
+    std::tie(problem.beta, problem.gamma) =
         FoldBetaGamma(current, alpha, threshold);
   }
   // b_i / d_i hold the swing from assigning candidate i, with \hat{r}^c,
-  // \hat{r}^w given by the delta*alpha threshold of Eq. 15.
+  // \hat{r}^w given by the delta*alpha threshold of Eq. 15. Each
+  // threshold test selects its terms through KeepIf: the same doubles as
+  // `r ? value : 0.0`, without a branch on where a probability falls.
   for (size_t c = 0; c < request.candidates.size(); ++c) {
     const auto i = static_cast<size_t>(request.candidates[c]);
     const double pc = current[i];
     const double pw = estimated[c];
     const bool rc = pc >= threshold;
     const bool rw = pw >= threshold;
-    problem->b[i] = (rw ? pw : 0.0) - (rc ? pc : 0.0);
-    problem->d[i] = alpha * ((rw ? 1.0 : 0.0) - (rc ? 1.0 : 0.0)) +
-                    (1.0 - alpha) * (pw - pc);
+    problem.b[i] = KeepIf(rw, pw) - KeepIf(rc, pc);
+    problem.d[i] = alpha * (KeepIf(rw, 1.0) - KeepIf(rc, 1.0)) +
+                   (1.0 - alpha) * (pw - pc);
   }
 
-  return SolveExactlyK(*problem, request.candidates, request.k,
-                       /*lambda_init=*/0.0);
+  SolveExactlyK(problem, request.candidates, request.k, /*lambda_init=*/0.0,
+                &scratch->solution);
 }
 
 // The algorithm proper; both entry points validate and open the span.
@@ -153,26 +163,34 @@ AssignmentResult Assign(const AssignmentRequest& request,
   QASCA_CHECK_EQ(prepared.column.size(), static_cast<size_t>(n));
   const LabelIndex t = prepared.options.target_label;
   const std::vector<double>& current = prepared.column;
+  const size_t num_candidates = request.candidates.size();
+  if (request.overlay != nullptr) {
+    QASCA_CHECK_EQ(request.overlay->rows_materialized(),
+                   static_cast<int>(num_candidates));
+  }
+  AssignmentScratch local;
+  AssignmentScratch* scratch =
+      request.scratch != nullptr ? request.scratch : &local;
 
   // Qw does not change across the Update calls of one request, so its
   // target entry per candidate position is gathered once.
-  std::vector<double> estimated(request.candidates.size());
-  for (size_t c = 0; c < estimated.size(); ++c) {
-    estimated[c] = request.EstimatedRow(request.candidates[c])[t];
+  std::vector<double>& estimated = scratch->estimated;
+  estimated.resize(num_candidates);
+  bool estimated_mass = false;
+  for (size_t c = 0; c < num_candidates; ++c) {
+    estimated[c] = request.EstimatedSlotRow(c)[t];
+    estimated_mass |= estimated[c] > 0.0;
   }
 
   // Degenerate instance: every target probability is zero, so F-score* is 0
   // for every assignment. Every score ties, and the selection order (score
   // descending, then question ascending) picks the k smallest candidates.
-  if (!prepared.has_target_mass &&
-      std::none_of(estimated.begin(), estimated.end(),
-                   [](double p) { return p > 0.0; })) {
+  if (!prepared.has_target_mass && !estimated_mass) {
     AssignmentResult result;
-    result.selected = request.candidates;
-    std::partial_sort(result.selected.begin(),
-                      result.selected.begin() + request.k,
-                      result.selected.end());
     result.selected.resize(static_cast<size_t>(request.k));
+    std::partial_sort_copy(request.candidates.begin(),
+                           request.candidates.end(), result.selected.begin(),
+                           result.selected.end());
     // Every assignment is equally worthless here, so every swing is zero.
     result.selected_scores.assign(static_cast<size_t>(request.k), 0.0);
     return result;
@@ -180,12 +198,12 @@ AssignmentResult Assign(const AssignmentRequest& request,
 
   double delta = prepared.delta_init;
   AssignmentResult result;
-  ZeroOneFractionalProgram problem;
-  problem.b.assign(static_cast<size_t>(n), 0.0);
-  problem.d.assign(static_cast<size_t>(n), 0.0);
+  // Written at candidate entries only, so never cleared between requests.
+  scratch->problem.b.resize(static_cast<size_t>(n));
+  scratch->problem.d.resize(static_cast<size_t>(n));
+  const ExactlyKSolution& update = scratch->solution;
   for (int outer = 1; outer <= kMaxOuterIterations; ++outer) {
-    FractionalSolution update = UpdateDelta(request, prepared, estimated,
-                                            delta, outer == 1, &problem);
+    UpdateDelta(request, prepared, delta, outer == 1, scratch);
     // Theorem 3 monotonicity holds from the second Update on: after one
     // step delta is the value of a feasible (X, R) pair, hence a valid
     // lower bound. The very first step may shrink an overshooting warm
@@ -197,28 +215,17 @@ AssignmentResult Assign(const AssignmentRequest& request,
     result.inner_iterations += update.iterations;
     if (std::fabs(update.value - delta) <= kDeltaTolerance) {
       result.objective = update.value;
-      result.selected.clear();
-      result.selected_scores.clear();
-      result.selected.reserve(static_cast<size_t>(request.k));
-      result.selected_scores.reserve(static_cast<size_t>(request.k));
-      for (int i = 0; i < n; ++i) {
-        if (!update.z[static_cast<size_t>(i)]) continue;
-        result.selected.push_back(i);
+      result.selected = update.selected;
+      result.selected_scores.resize(static_cast<size_t>(request.k));
+      for (int s = 0; s < request.k; ++s) {
+        const QuestionIndex i = update.selected[static_cast<size_t>(s)];
         // Diagnostic score: the target-label probability swing this
         // assignment contributes (Eq. 15's numerator change).
-        result.selected_scores.push_back(request.EstimatedRow(i)[t] -
-                                         current[static_cast<size_t>(i)]);
+        result.selected_scores[static_cast<size_t>(s)] =
+            request.EstimatedRow(i)[t] - current[static_cast<size_t>(i)];
       }
       QASCA_CHECK_OK(
           invariants::CheckAssignment(result.selected, request.k, n));
-      if (request.telemetry != nullptr) {
-        request.telemetry
-            ->GetCounter(util::tnames::kDinkelbachOuterIterations)
-            ->Add(result.outer_iterations);
-        request.telemetry
-            ->GetCounter(util::tnames::kDinkelbachInnerIterations)
-            ->Add(result.inner_iterations);
-      }
       return result;
     }
     // Theorem 3 gives monotone increase whenever delta <= delta*. The warm

@@ -111,6 +111,14 @@ class QwOverlay {
     return quality_[static_cast<size_t>(slot_of_[static_cast<size_t>(i)])];
   }
 
+  /// The row in slot `slot`, in [0, rows_materialized()).
+  std::span<const double> SlotRow(int slot) const {
+    QASCA_DCHECK_GE(slot, 0);
+    QASCA_DCHECK_LT(slot, rows_);
+    return {scratch_.data() + static_cast<size_t>(slot) * num_labels_,
+            static_cast<size_t>(num_labels_)};
+  }
+
   /// The materialised row for question `i`; Contains(i) must hold.
   std::span<const double> Row(QuestionIndex i) const {
     QASCA_DCHECK(Contains(i));

@@ -45,14 +45,15 @@ AssignmentResult ScanTopKBenefit(const AssignmentRequest& request,
   const DistributionMatrix& current = *request.current;
 
   const int num_candidates = static_cast<int>(request.candidates.size());
-  if (request.telemetry != nullptr) {
-    request.telemetry->GetCounter(util::tnames::kTopkCandidatesScanned)
-        ->Add(num_candidates);
-  }
   const int k = request.k;
   const int num_chunks = util::NumChunks(0, num_candidates, kBenefitScanGrain);
-  std::vector<ScoredQuestion> local(static_cast<size_t>(num_chunks) * k);
-  std::vector<int> local_counts(static_cast<size_t>(num_chunks), 0);
+  AssignmentScratch local_scratch;
+  AssignmentScratch& scratch =
+      request.scratch != nullptr ? *request.scratch : local_scratch;
+  std::vector<ScoredQuestion>& local = scratch.chunk_top;
+  std::vector<int>& local_counts = scratch.chunk_counts;
+  local.resize(static_cast<size_t>(num_chunks) * k);
+  local_counts.resize(static_cast<size_t>(num_chunks));
   util::ParallelFor(
       request.pool, 0, num_candidates, kBenefitScanGrain, [&](int cb, int ce) {
         const int chunk = util::ChunkIndex(0, cb, kBenefitScanGrain);
@@ -67,8 +68,8 @@ AssignmentResult ScanTopKBenefit(const AssignmentRequest& request,
 
   // Serial merge in chunk order; after the sort, benefits[0..k) is the
   // global top-k in ScoreGreater order.
-  std::vector<ScoredQuestion> benefits;
-  benefits.reserve(static_cast<size_t>(num_chunks) * k);
+  std::vector<ScoredQuestion>& benefits = scratch.merged;
+  benefits.clear();
   for (int chunk = 0; chunk < num_chunks; ++chunk) {
     const auto* top = local.data() + static_cast<size_t>(chunk) * k;
     benefits.insert(benefits.end(), top,
@@ -78,25 +79,12 @@ AssignmentResult ScanTopKBenefit(const AssignmentRequest& request,
 
   AssignmentResult result;
   result.outer_iterations = 1;
-  // The selection and its scores, reordered ascending by question index.
-  // `benefits` itself stays in ScoreGreater order: the objective fold
-  // below sums benefits[0..k) in that order, and reordering it would change
-  // the floating-point association (the golden traces pin the exact bits).
-  std::vector<ScoredQuestion> topk(benefits.begin(), benefits.begin() + k);
-  std::sort(topk.begin(), topk.end(),
-            [](const ScoredQuestion& a, const ScoredQuestion& b) {
-              return a.second < b.second;
-            });
-  result.selected.reserve(static_cast<size_t>(k));
-  result.selected_scores.reserve(static_cast<size_t>(k));
-  for (int c = 0; c < k; ++c) {
-    result.selected.push_back(topk[static_cast<size_t>(c)].second);
-    result.selected_scores.push_back(topk[static_cast<size_t>(c)].first);
-  }
-
   // Objective: the fixed term (quality of every current row) plus the
-  // selected benefits, averaged (Eq. 12). Skipped when the caller only
-  // consumes the selection — the fixed term is an O(n) sweep per request.
+  // selected benefits, averaged (Eq. 12), summed over benefits[0..k) in
+  // ScoreGreater order: another order would change the floating-point
+  // association (the golden traces pin the exact bits). Skipped when the
+  // caller only consumes the selection — the fixed term is an O(n) sweep
+  // per request.
   if (request.compute_objective) {
     double total = util::ParallelSum(
         request.pool, 0, current.num_questions(), kBenefitScanGrain,
@@ -111,6 +99,20 @@ AssignmentResult ScanTopKBenefit(const AssignmentRequest& request,
         total, 0, request.k,
         [&](double acc, int c) { return acc + benefits[c].first; });
     result.objective = total / current.num_questions();
+  }
+
+  // The selection and its scores, reordered ascending by question index.
+  std::sort(benefits.begin(), benefits.begin() + k,
+            [](const ScoredQuestion& a, const ScoredQuestion& b) {
+              return a.second < b.second;
+            });
+  result.selected.resize(static_cast<size_t>(k));
+  result.selected_scores.resize(static_cast<size_t>(k));
+  for (int c = 0; c < k; ++c) {
+    result.selected[static_cast<size_t>(c)] =
+        benefits[static_cast<size_t>(c)].second;
+    result.selected_scores[static_cast<size_t>(c)] =
+        benefits[static_cast<size_t>(c)].first;
   }
   QASCA_DCHECK_OK(invariants::CheckAssignment(result.selected, request.k,
                                               current.num_questions()));

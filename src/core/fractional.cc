@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "core/top_k.h"
 #include "util/fold.h"
 #include "util/invariants.h"
 #include "util/logging.h"
@@ -85,29 +84,24 @@ FractionalSolution SolveUnconstrained(const ZeroOneFractionalProgram& problem,
   return solution;  // Unreachable.
 }
 
-FractionalSolution SolveExactlyK(const ZeroOneFractionalProgram& problem,
-                                 const std::vector<int>& candidates, int k,
-                                 double lambda_init) {
+void SolveExactlyK(const ZeroOneFractionalProgram& problem,
+                   const std::vector<int>& candidates, int k,
+                   double lambda_init, ExactlyKSolution* solution) {
   const size_t n = problem.b.size();
   QASCA_CHECK_EQ(problem.d.size(), n);
   QASCA_CHECK_GT(k, 0);
   QASCA_CHECK_LE(static_cast<size_t>(k), candidates.size());
-  // Bounds are checked once up front (always on, allocation-free) instead of
-  // per access inside the iteration loop; duplicate detection is the debug
-  // tier — the assignment boundary (ValidateRequest) runs it per request.
-  for (int i : candidates) {
-    QASCA_CHECK_GE(i, 0);
-    QASCA_CHECK_LT(static_cast<size_t>(i), n);
-  }
-  QASCA_DCHECK_OK(
+  // Checked once up front instead of per access inside the iteration loop.
+  QASCA_CHECK_OK(
       invariants::CheckCandidateSet(candidates, static_cast<int>(n)));
 
   // The step's k best (score, question) pairs, then their questions
   // ascending for the objective fold.
-  std::vector<ScoredQuestion> top(static_cast<size_t>(k));
-  std::vector<int> selected(static_cast<size_t>(k));
+  std::vector<ScoredQuestion>& top = solution->top;
+  std::vector<int>& selected = solution->selected;
+  top.resize(static_cast<size_t>(k));
+  selected.resize(static_cast<size_t>(k));
 
-  FractionalSolution solution;
   double lambda = lambda_init;
   for (int iteration = 1; iteration <= kMaxIterations; ++iteration) {
     // Top-k selection in one pass over the candidates (the role of the PICK
@@ -127,16 +121,26 @@ FractionalSolution SolveExactlyK(const ZeroOneFractionalProgram& problem,
 
     double updated = Objective(problem, selected.data(), k);
     QASCA_DCHECK_OK(invariants::CheckLambdaMonotone(lambda, updated));
-    solution.iterations = iteration;
+    solution->iterations = iteration;
     if (std::fabs(updated - lambda) <= kLambdaTolerance) {
-      solution.value = updated;
-      solution.z = Indicator(n, selected.data(), k);
-      return solution;
+      solution->value = updated;
+      return;
     }
     lambda = updated;
   }
   QASCA_CHECK(false) << "Dinkelbach iteration failed to converge";
-  return solution;  // Unreachable.
+}
+
+FractionalSolution SolveExactlyK(const ZeroOneFractionalProgram& problem,
+                                 const std::vector<int>& candidates, int k,
+                                 double lambda_init) {
+  ExactlyKSolution exactly_k;
+  SolveExactlyK(problem, candidates, k, lambda_init, &exactly_k);
+  FractionalSolution solution;
+  solution.value = exactly_k.value;
+  solution.iterations = exactly_k.iterations;
+  solution.z = Indicator(problem.b.size(), exactly_k.selected.data(), k);
+  return solution;
 }
 
 }  // namespace qasca

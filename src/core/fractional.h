@@ -3,6 +3,8 @@
 
 #include <vector>
 
+#include "core/top_k.h"
+
 namespace qasca {
 
 /// A 0-1 fractional program (Section 3.2.3):
@@ -47,6 +49,19 @@ struct FractionalSolution {
 FractionalSolution SolveUnconstrained(const ZeroOneFractionalProgram& problem,
                                       double lambda_init = 0.0);
 
+/// SolveExactlyK's solution without an n-sized indicator: the k
+/// maximisers, in buffers a caller keeps across solves (a server's
+/// request-scoped scratch), so a solve allocates nothing once they have
+/// grown to k.
+struct ExactlyKSolution {
+  double value = 0.0;
+  int iterations = 0;
+  /// The k maximisers of the last solve, ascending.
+  std::vector<int> selected;
+  /// The solver's per-step top-k buffer.
+  std::vector<ScoredQuestion> top;
+};
+
 /// Solves `problem` over Omega = { z : sum z_i = k, z_i = 1 only for
 /// i in `candidates` }. Each Dinkelbach step selects the k candidates with
 /// the largest b[i] - lambda*d[i] (ties to the smaller index) in one
@@ -55,7 +70,13 @@ FractionalSolution SolveUnconstrained(const ZeroOneFractionalProgram& problem,
 /// Coordinates outside `candidates` are never read.
 ///
 /// `k` must satisfy 0 < k <= candidates.size(); candidate indices must be
-/// unique and within [0, n).
+/// unique and within [0, n) (checked always, in one pass when they are
+/// ascending).
+void SolveExactlyK(const ZeroOneFractionalProgram& problem,
+                   const std::vector<int>& candidates, int k,
+                   double lambda_init, ExactlyKSolution* solution);
+
+/// The same solve, returning the maximiser as the indicator z.
 FractionalSolution SolveExactlyK(const ZeroOneFractionalProgram& problem,
                                  const std::vector<int>& candidates, int k,
                                  double lambda_init = 0.0);

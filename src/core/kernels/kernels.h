@@ -105,10 +105,22 @@ void CmAnswerDistribution(const double* cm, const double* row, int l,
 /// composition (WpAnswerDistribution / CmAnswerDistribution,
 /// SampleWeightedAt, MulRow, RowSum, DivRow and the uniform fallback), so
 /// the fused batch is bitwise-equal to composing those kernels by hand.
+/// The answered label is selected from comparison results, not by a branch
+/// on the draw (DESIGN.md §12, "Branch-free selects").
 void SampledQwRows(const double* qc, int l, const int* candidates, int rows,
                    uint64_t base, double wp_m, double wp_off,
                    const double* cm, const double* likelihoods, double* out,
                    double* row_max, double* dist_scratch);
+
+/// One row of SampledQwRows at an explicit uniform variate `u01` in
+/// [0, 1): steps 2 and 4 above for the row at `current_row`, written to
+/// out[0, l). Returns the row's maximum. SampledQwRows is this at
+/// u01 = the candidate's SplitMix64 variate; a test can place the sampling
+/// target on a prefix-sum boundary.
+double SampledQwRowAt(const double* current_row, int l, double u01,
+                      double wp_m, double wp_off, const double* cm,
+                      const double* likelihoods, double* out,
+                      double* dist_scratch);
 
 }  // namespace qasca::kernels
 

@@ -13,7 +13,6 @@
 #include "util/fold.h"
 #include "util/invariants.h"
 #include "util/logging.h"
-#include "util/telemetry_names.h"
 
 namespace qasca {
 
@@ -178,7 +177,7 @@ class Refit {
   // The E/M loop from the seeded posterior. Leaves the models, prior and
   // iteration count in `result` and moves the posterior there, so it runs
   // once per Refit.
-  void Run(EmResult* result, util::MetricRegistry* telemetry) {
+  void Run(EmResult* result, util::Counter* iterations) {
 #if QASCA_ENABLE_DCHECKS
     // MAP objective (data log-likelihood + log penalty) of the previous
     // iteration's parameters; EM theory guarantees it never decreases.
@@ -233,10 +232,9 @@ class Refit {
 
       if (max_change <= options_.tolerance) break;
     }
-    if (telemetry != nullptr) {
+    if (iterations != nullptr) {
       // Iterations-to-convergence of this fit (Section 5.2's EM loop).
-      telemetry->GetCounter(util::tnames::kEmIterations)
-          ->Add(result->iterations);
+      iterations->Add(result->iterations);
     }
 
     result->posterior = DistributionMatrix(n_, l_, std::move(posterior_));
@@ -389,21 +387,21 @@ WorkerModel PerfectModel(const EmOptions& options, int num_labels) {
 
 EmResult RunEm(const AnswerSet& answers, int num_labels,
                const EmOptions& options, util::ThreadPool* /*pool*/,
-               util::MetricRegistry* telemetry) {
+               util::Counter* iterations) {
   QASCA_CHECK_GT(num_labels, 0);
   EmResult result;
   result.prior = UniformPrior(num_labels);
   result.fallback = PerfectModel(options, num_labels);
   Refit refit(answers, num_labels, options);
   refit.SeedFromVotes();
-  refit.Run(&result, telemetry);
+  refit.Run(&result, iterations);
   return result;
 }
 
 EmResult RunEmWarmStart(const AnswerSet& answers, int num_labels,
                         const EmOptions& options, const EmResult& previous,
                         util::ThreadPool* /*pool*/,
-                        util::MetricRegistry* telemetry) {
+                        util::Counter* iterations) {
   QASCA_CHECK_GT(num_labels, 0);
   const int n = static_cast<int>(answers.size());
   if (previous.posterior.num_questions() != n ||
@@ -413,7 +411,7 @@ EmResult RunEmWarmStart(const AnswerSet& answers, int num_labels,
     // The second case matters: an all-uniform posterior is a *fixed point*
     // of the EM update (the symmetric saddle), so warm-starting from a
     // blank state would never leave it — bootstrap from votes instead.
-    return RunEm(answers, num_labels, options, nullptr, telemetry);
+    return RunEm(answers, num_labels, options, nullptr, iterations);
   }
   EmResult result;
   result.prior = previous.prior.size() == static_cast<size_t>(num_labels)
@@ -427,7 +425,7 @@ EmResult RunEmWarmStart(const AnswerSet& answers, int num_labels,
   // are avoided.
   Refit refit(answers, num_labels, options);
   refit.SeedFromModels(previous, result.prior);
-  refit.Run(&result, telemetry);
+  refit.Run(&result, iterations);
   return result;
 }
 

@@ -56,22 +56,23 @@ struct EmResult {
 /// thread pool made them slower (DESIGN.md §8). The parameter stays for
 /// source compatibility; results do not depend on it.
 ///
-/// `telemetry` (optional) records the E/M rounds this fit took
-/// (tnames::kEmIterations); it never affects the fit.
+/// `iterations` (optional) counts the E/M rounds this fit took, the
+/// caller's resolved tnames::kEmIterations counter; it never affects the
+/// fit.
 EmResult RunEm(const AnswerSet& answers, int num_labels,
                const EmOptions& options, util::ThreadPool* pool = nullptr,
-               util::MetricRegistry* telemetry = nullptr);
+               util::Counter* iterations = nullptr);
 
 /// Warm-started EM: initialises the posteriors from `previous` (falling back
 /// to the vote bootstrap for questions whose answer count changed shape) and
 /// iterates from there. On the platform's HIT-completion path — where each
 /// refit sees the previous answer set plus k new answers — this converges in
 /// one or two rounds instead of the cold fit's half dozen, with the same
-/// fixed point. `pool` as in RunEm.
+/// fixed point. `pool` and `iterations` as in RunEm.
 EmResult RunEmWarmStart(const AnswerSet& answers, int num_labels,
                         const EmOptions& options, const EmResult& previous,
                         util::ThreadPool* pool = nullptr,
-                        util::MetricRegistry* telemetry = nullptr);
+                        util::Counter* iterations = nullptr);
 
 }  // namespace qasca
 

@@ -176,11 +176,6 @@ void EstimateWorkerRowsInto(const DistributionMatrix& current,
     }
   }
 
-  if (telemetry != nullptr) {
-    telemetry->GetCounter(util::tnames::kQwSamplesDrawn)
-        ->Add(static_cast<int64_t>(count));
-  }
-
   // Same base-draw discipline as EstimateWorkerDistribution: exactly one
   // engine draw, from which every candidate derives its own SplitMix64
   // stream seeded by (base, question).

@@ -141,6 +141,8 @@ DistributionMatrix EstimateWorkerDistribution(
 /// the Top-K benefit scan reads one contiguous double per candidate instead
 /// of re-reducing the row. The fused maxima are exactly kernels::RowMax of
 /// the materialised rows; they never change which rows are produced.
+/// `telemetry` (optional) times the overlay fill and the row batch; the
+/// caller counts the samples drawn, one per candidate.
 void EstimateWorkerRowsInto(const DistributionMatrix& current,
                             const WorkerModel& model,
                             const WorkerLikelihoods& likelihoods,

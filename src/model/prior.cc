@@ -9,18 +9,6 @@ std::vector<double> UniformPrior(int num_labels) {
   return std::vector<double>(num_labels, 1.0 / num_labels);
 }
 
-std::vector<double> EstimatePrior(const DistributionMatrix& posterior) {
-  QASCA_CHECK_GT(posterior.num_questions(), 0);
-  const int num_labels = posterior.num_labels();
-  std::vector<double> prior;
-  EstimatePriorInto(
-      std::span<const double>(posterior.Row(0).data(),
-                              static_cast<size_t>(posterior.num_questions()) *
-                                  static_cast<size_t>(num_labels)),
-      num_labels, &prior);
-  return prior;
-}
-
 void EstimatePriorInto(std::span<const double> cells, int num_labels,
                        std::vector<double>* prior) {
   QASCA_CHECK_GT(num_labels, 0);

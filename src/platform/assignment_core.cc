@@ -29,8 +29,11 @@ AssignmentCore::AssignmentCore(const AppConfig* config,
       answers_recorded_counter_(
           telemetry->GetCounter(util::tnames::kDbAnswersRecorded)),
       posterior_row_updates_counter_(
-          telemetry->GetCounter(util::tnames::kDbPosteriorRowUpdates)) {
+          telemetry->GetCounter(util::tnames::kDbPosteriorRowUpdates)),
+      em_iterations_counter_(
+          telemetry->GetCounter(util::tnames::kEmIterations)) {
   QASCA_CHECK(strategy_ != nullptr);
+  strategy_->AttachTelemetry(&telemetry_);
   if (config_.num_threads > 1) {
     pool_ = std::make_unique<util::ThreadPool>(config_.num_threads);
     pool_->AttachTelemetry(&telemetry_);
@@ -40,7 +43,8 @@ AssignmentCore::AssignmentCore(const AppConfig* config,
 
 util::StatusOr<AssignmentCore::Decision> AssignmentCore::Decide(
     WorkerId worker, DecisionProvenance* provenance) {
-  std::vector<QuestionIndex> candidates = database_.CandidatesFor(worker);
+  std::vector<QuestionIndex>& candidates = candidates_;
+  database_.CandidatesFor(worker, &candidates);
   const int k = config_.questions_per_hit;
   if (static_cast<int>(candidates.size()) < k) {
     return util::Status::NotFound(
@@ -172,9 +176,9 @@ void AssignmentCore::RunFullEmRefit() {
       config_.warm_start_em
           ? RunEmWarmStart(database_.answers(), config_.num_labels,
                            config_.em, database_.parameters(), pool_.get(),
-                           &telemetry_)
+                           em_iterations_counter_)
           : RunEm(database_.answers(), config_.num_labels, config_.em,
-                  pool_.get(), &telemetry_);
+                  pool_.get(), em_iterations_counter_);
   if (incremental_since_refit_) {
     // Always-on incremental-agreement invariant: the Qc the incremental
     // path maintained (still current until the fit replaces it) must agree

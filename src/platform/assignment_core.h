@@ -159,6 +159,10 @@ class AssignmentCore {
   util::Gauge* last_refresh_drift_gauge_;
   util::Counter* answers_recorded_counter_;
   util::Counter* posterior_row_updates_counter_;
+  util::Counter* em_iterations_counter_;
+  /// Request-scoped scratch: the requesting worker's candidate set S^w,
+  /// rebuilt per Decide in storage kept across requests.
+  std::vector<QuestionIndex> candidates_;
   /// Completions since the last full EM refit.
   int completions_since_refit_ = 0;
   /// Whether any incremental row update has been applied since the last

@@ -58,24 +58,26 @@ void Database::RecordAnswer(QuestionIndex question, WorkerId worker,
 
 std::vector<QuestionIndex> Database::CandidatesFor(WorkerId worker) const {
   std::vector<QuestionIndex> candidates;
+  CandidatesFor(worker, &candidates);
+  return candidates;
+}
+
+void Database::CandidatesFor(WorkerId worker,
+                             std::vector<QuestionIndex>* out) const {
   auto it = assigned_.find(worker);
-  if (it == assigned_.end()) {
-    candidates.resize(num_questions_);
-    for (int i = 0; i < num_questions_; ++i) candidates[i] = i;
-    return candidates;
-  }
-  // One merge walk of [0, n) against the ascending assigned list.
-  const std::vector<QuestionIndex>& assigned = it->second;
-  candidates.reserve(static_cast<size_t>(num_questions_) - assigned.size());
-  auto next_assigned = assigned.begin();
-  for (int i = 0; i < num_questions_; ++i) {
-    if (next_assigned != assigned.end() && *next_assigned == i) {
-      ++next_assigned;
-    } else {
-      candidates.push_back(i);
+  const size_t num_assigned = it == assigned_.end() ? 0 : it->second.size();
+  out->resize(static_cast<size_t>(num_questions_) - num_assigned);
+  // The runs of [0, n) between consecutive entries of the ascending
+  // assigned list.
+  QuestionIndex* next = out->data();
+  QuestionIndex from = 0;
+  if (it != assigned_.end()) {
+    for (QuestionIndex assigned : it->second) {
+      for (QuestionIndex i = from; i < assigned; ++i) *next++ = i;
+      from = assigned + 1;
     }
   }
-  return candidates;
+  for (QuestionIndex i = from; i < num_questions_; ++i) *next++ = i;
 }
 
 int Database::AnswerCount(QuestionIndex question) const {

@@ -52,6 +52,9 @@ class Database {
   /// The candidate set S^w: all questions never assigned to `worker`,
   /// ascending.
   std::vector<QuestionIndex> CandidatesFor(WorkerId worker) const;
+  /// The same set written into `*out`, whose storage a server keeps across
+  /// requests.
+  void CandidatesFor(WorkerId worker, std::vector<QuestionIndex>* out) const;
 
   /// Number of answers collected for `question`.
   int AnswerCount(QuestionIndex question) const;

@@ -25,6 +25,16 @@ FScoreAssignmentOptions FScoreOptions(const MetricSpec& metric) {
 
 }  // namespace
 
+void QascaStrategy::AttachTelemetry(util::MetricRegistry* registry) {
+  qw_samples_drawn_ = registry->GetCounter(util::tnames::kQwSamplesDrawn);
+  topk_candidates_scanned_ =
+      registry->GetCounter(util::tnames::kTopkCandidatesScanned);
+  dinkelbach_outer_iterations_ =
+      registry->GetCounter(util::tnames::kDinkelbachOuterIterations);
+  dinkelbach_inner_iterations_ =
+      registry->GetCounter(util::tnames::kDinkelbachInnerIterations);
+}
+
 void QascaStrategy::PrepareForQc(const Database& database,
                                  const MetricSpec& metric) {
   if (metric.kind != MetricSpec::Kind::kFScore) return;
@@ -42,16 +52,19 @@ std::vector<QuestionIndex> QascaStrategy::SelectQuestions(
 
   const DistributionMatrix& qc = context.database->current();
 
-  AssignmentRequest request;
+  AssignmentRequest& request = request_;
   request.current = &qc;
+  // Copied into storage kept across requests: no allocation.
   request.candidates = candidates;
   request.k = k;
   request.pool = context.pool;
   request.telemetry = context.telemetry;
+  request.scratch = &scratch_;
   // The engine consumes only the selection; skip the Top-K algorithms'
   // O(n) objective sweep per request (F-score's Dinkelbach computes its
   // objective as a by-product regardless).
   request.compute_objective = false;
+  const auto num_candidates = static_cast<int64_t>(candidates.size());
 
   // Qw estimation (Section 5.3): materialise only the candidate rows into
   // the reusable overlay, multiplying through the requesting worker's
@@ -69,11 +82,16 @@ std::vector<QuestionIndex> QascaStrategy::SelectQuestions(
     EstimateWorkerRowsInto(qc, *context.worker_model, likelihoods_, candidates,
                            QwMode::kSampled, *context.rng, &overlay_,
                            context.pool, context.telemetry, fuse_row_max);
+    if (qw_samples_drawn_ != nullptr) qw_samples_drawn_->Add(num_candidates);
   }
   request.estimated = &qc;
   request.overlay = &overlay_;
 
   AssignmentResult result;
+  if (context.metric->kind != MetricSpec::Kind::kFScore &&
+      topk_candidates_scanned_ != nullptr) {
+    topk_candidates_scanned_->Add(num_candidates);
+  }
   if (context.metric->kind == MetricSpec::Kind::kAccuracy) {
     result = AssignTopKBenefit(request);
   } else if (context.metric->kind == MetricSpec::Kind::kCostAccuracy) {
@@ -97,6 +115,10 @@ std::vector<QuestionIndex> QascaStrategy::SelectQuestions(
     QASCA_DCHECK(IdenticalBits(*fscore_, PrepareFScoreCurrent(qc, options)))
         << "prepared F-score inputs differ from a fresh preparation";
     result = AssignFScoreOnline(request, *fscore_);
+    if (dinkelbach_outer_iterations_ != nullptr) {
+      dinkelbach_outer_iterations_->Add(result.outer_iterations);
+      dinkelbach_inner_iterations_->Add(result.inner_iterations);
+    }
   }
   last_outer_iterations_ = result.outer_iterations;
   last_inner_iterations_ = result.inner_iterations;

@@ -6,11 +6,13 @@
 #include <string>
 #include <vector>
 
+#include "core/assignment/assignment.h"
 #include "core/assignment/fscore_online.h"
 #include "core/assignment/qw_overlay.h"
 #include "model/likelihood_cache.h"
 #include "model/posterior.h"
 #include "platform/strategy.h"
+#include "util/telemetry.h"
 
 namespace qasca {
 
@@ -23,12 +25,14 @@ namespace qasca {
 ///
 /// Threading contract: inherits AssignmentStrategy's engine-thread-only
 /// SelectQuestions discipline (kernels parallelise through context.pool
-/// with const-read bodies). The instance owns reusable per-call scratch —
-/// the zero-copy Qw overlay and the requesting worker's likelihood table —
-/// which never carries state between calls (both are rebuilt per
-/// selection). The one state kept across calls is the F-score app's
-/// Qc-only inputs, tagged with the Database::qc_version() they were
-/// prepared for, so one strategy serves one engine's Database.
+/// with const-read bodies). The instance owns the request-scoped scratch
+/// (DESIGN.md §12) — the zero-copy Qw overlay, the requesting worker's
+/// likelihood table, the assignment request with its candidate list, and
+/// the algorithms' buffers — which never carries state between calls (each
+/// is rebuilt per selection in storage kept across selections). The one
+/// state kept across calls is the F-score app's Qc-only inputs, tagged with
+/// the Database::qc_version() they were prepared for, so one strategy
+/// serves one engine's Database.
 class QascaStrategy final : public AssignmentStrategy {
  public:
   /// Qw is always the paper's sampled estimate; the QwMode parameter stays
@@ -36,6 +40,10 @@ class QascaStrategy final : public AssignmentStrategy {
   explicit QascaStrategy(QwMode /*qw_mode*/ = QwMode::kSampled) {}
 
   std::string name() const override { return "QASCA"; }
+
+  /// Resolves the request path's counters: Qw samples drawn, Top-K
+  /// candidates scanned, and Dinkelbach outer and inner iterations.
+  void AttachTelemetry(util::MetricRegistry* registry) override;
 
   /// F-score apps: prepares PrepareFScoreCurrent(Qc) for the metric's alpha
   /// and target label. Other metrics read nothing Qc-only.
@@ -65,6 +73,15 @@ class QascaStrategy final : public AssignmentStrategy {
   /// The requesting worker's likelihood table, rebuilt from its current
   /// model on every request into storage kept across requests.
   WorkerLikelihoods likelihoods_;
+  /// The request handed to the assignment algorithms, refilled per
+  /// selection, and their buffers.
+  AssignmentRequest request_;
+  AssignmentScratch scratch_;
+  /// Null until AttachTelemetry.
+  util::Counter* qw_samples_drawn_ = nullptr;
+  util::Counter* topk_candidates_scanned_ = nullptr;
+  util::Counter* dinkelbach_outer_iterations_ = nullptr;
+  util::Counter* dinkelbach_inner_iterations_ = nullptr;
   /// F-score inputs prepared for the Qc whose Database::qc_version() is
   /// fscore_qc_version_.
   std::optional<FScoreCurrent> fscore_;

@@ -77,6 +77,12 @@ class AssignmentStrategy {
   /// core builds that model only for strategies that do.
   virtual bool ReadsTypicalWorker() const { return false; }
 
+  /// Resolves the counters the strategy adds to on every request from
+  /// `registry` (the owning core's, never null, outliving the strategy),
+  /// once, so a request adds to them without a by-name lookup. The core
+  /// calls it at construction. Default: the strategy counts nothing.
+  virtual void AttachTelemetry(util::MetricRegistry* /*registry*/) {}
+
   /// Rebuilds what the strategy derives from Qc alone, for `metric`. The
   /// core calls it right after every Qc change (construction, full EM
   /// refit, incremental refresh), on the completion path, so requests read

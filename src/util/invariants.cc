@@ -13,6 +13,12 @@ std::string FormatDouble(double value) {
   return buffer;
 }
 
+util::Status OutOfRange(int id, int num_questions) {
+  return util::Status::Internal("question id " + std::to_string(id) +
+                                " outside [0, " +
+                                std::to_string(num_questions) + ")");
+}
+
 }  // namespace
 
 util::Status CheckDistributionRow(std::span<const double> row,
@@ -65,16 +71,30 @@ util::Status CheckConfusionMatrix(std::span<const double> matrix,
 
 util::Status CheckCandidateSet(std::span<const int> candidates,
                                int num_questions) {
-  // Single pass with a seen-bitmap: O(num_questions + candidates.size())
-  // and no sort, so the always-on boundary call sites stay cheap.
+  // A strictly ascending list is distinct, and it lies in [0, n) when its
+  // ends do: one pass and no allocation for the ascending lists the
+  // database hands out and the solvers return.
+  size_t ascending = 1;
+  while (ascending < candidates.size() &&
+         candidates[ascending - 1] < candidates[ascending]) {
+    ++ascending;
+  }
+  if (ascending >= candidates.size()) {
+    if (candidates.empty()) return util::Status::Ok();
+    if (candidates.front() < 0) {
+      return OutOfRange(candidates.front(), num_questions);
+    }
+    if (candidates.back() >= num_questions) {
+      return OutOfRange(candidates.back(), num_questions);
+    }
+    return util::Status::Ok();
+  }
+  // Any other order: one pass with a seen-bitmap, O(num_questions +
+  // candidates.size()) and no sort.
   std::vector<unsigned char> seen(static_cast<size_t>(
       num_questions > 0 ? num_questions : 0));
   for (int id : candidates) {
-    if (id < 0 || id >= num_questions) {
-      return util::Status::Internal("question id " + std::to_string(id) +
-                                    " outside [0, " +
-                                    std::to_string(num_questions) + ")");
-    }
+    if (id < 0 || id >= num_questions) return OutOfRange(id, num_questions);
     if (seen[static_cast<size_t>(id)]) {
       return util::Status::Internal("duplicate question id " +
                                     std::to_string(id));

@@ -44,7 +44,8 @@ util::Status CheckConfusionMatrix(std::span<const double> matrix,
                                   double tolerance = kProbabilityTolerance);
 
 /// A candidate set: distinct question indices, each within
-/// [0, num_questions).
+/// [0, num_questions). A strictly ascending list is checked in one pass
+/// with no allocation; any other order takes an n-byte seen-bitmap.
 QASCA_NODISCARD
 util::Status CheckCandidateSet(std::span<const int> candidates,
                                int num_questions);

@@ -1,6 +1,7 @@
 #include "core/kernels/kernels.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -293,6 +294,126 @@ TEST(KernelEquivalenceTest, SampledQwRowsMatchesComposedPipeline) {
       }
     }
   }
+}
+
+// The per-row kernel at variates that put the sampling target on a
+// prefix-sum boundary, against the composed reference. u01 = 0 puts the
+// target on every leading zero lane's prefix sum: a perfect WP worker
+// (m = 1, off = 0) carries the row's zero lanes into its answer
+// distribution, and a worker who always answers the last label has every
+// other lane zero whatever the row. The largest double below 1 puts the
+// target one ulp under the total, or, when the total is subnormal (a
+// confusion matrix of tiny entries), onto it: the last-positive fallback's
+// case, which a worker who answers only the first label, with tiny
+// probability, meets with trailing zero lanes. Rows
+// include a zero lane in every position and a zero-mass product row, whose
+// likelihoods vanish on the row's support so the conditioned row falls
+// back to 1/l.
+TEST(KernelEquivalenceTest, SampledQwRowAtMatchesComposedPipelineOnBoundaries) {
+  const double variates[] = {0.0, std::nextafter(1.0, 0.0), 0.5, 0.25,
+                             0.999, 1e-300};
+  int on_first_prefix = 0;
+  int past_total = 0;
+  int uniform_fallbacks = 0;
+  for (int l : {2, 3, 5}) {
+    // Row shapes: generic, a zero lane at every position, and a one-hot
+    // row (the zero-mass row under `lik_zero`).
+    std::vector<std::vector<double>> rows;
+    rows.push_back(TestRow(l, /*salt=*/500u + l));
+    for (int zero = 0; zero < l; ++zero) {
+      std::vector<double> row = TestRow(l, /*salt=*/510u + l * 7 + zero);
+      row[static_cast<size_t>(zero)] = 0.0;
+      rows.push_back(row);
+    }
+    std::vector<double> one_hot(static_cast<size_t>(l), 0.0);
+    one_hot[static_cast<size_t>(l - 1)] = 1.0;
+    rows.push_back(one_hot);
+    for (std::vector<double>& row : rows) {
+      double sum = 0.0;
+      for (double x : row) sum += x;
+      for (double& x : row) x /= sum;
+    }
+    const std::vector<double> lik = TestRow(l * l, /*salt=*/17u + l);
+    // Zero wherever the one-hot row has mass: its product row is all zero.
+    std::vector<double> lik_zero = lik;
+    for (int a = 0; a < l; ++a) {
+      lik_zero[static_cast<size_t>(a * l + (l - 1))] = 0.0;
+    }
+    const std::vector<double> cm = TestRow(l * l, /*salt=*/33u + l);
+    std::vector<double> tiny_cm = cm;
+    for (double& x : tiny_cm) x *= 1e-308;
+    std::vector<double> last_label(static_cast<size_t>(l * l), 0.0);
+    std::vector<double> tiny_first_label(static_cast<size_t>(l * l), 0.0);
+    for (int t = 0; t < l; ++t) {
+      last_label[static_cast<size_t>(t * l + l - 1)] = 1.0;
+      tiny_first_label[static_cast<size_t>(t * l)] = 1e-308;
+    }
+
+    // WP at m = 0.7 and the perfect m = 1, then the confusion matrices.
+    struct Model {
+      double wp_m;
+      const std::vector<double>* cm;
+    };
+    const Model models[] = {{0.7, nullptr},      {1.0, nullptr},
+                            {0.0, &cm},          {0.0, &tiny_cm},
+                            {0.0, &last_label},  {0.0, &tiny_first_label}};
+    for (const Model& model : models) {
+      const bool wp = model.cm == nullptr;
+      const double wp_off = wp ? (1.0 - model.wp_m) / (l - 1) : 0.0;
+      for (size_t r = 0; r < rows.size(); ++r) {
+        const std::vector<double>& cur = rows[r];
+        for (const std::vector<double>* table :
+             {&lik, static_cast<const std::vector<double>*>(&lik_zero)}) {
+          for (double u01 : variates) {
+            std::vector<double> dist(static_cast<size_t>(l));
+            if (wp) {
+              kernels::WpAnswerDistribution(cur.data(), l, model.wp_m, wp_off,
+                                            dist.data());
+            } else {
+              kernels::CmAnswerDistribution(model.cm->data(), cur.data(), l,
+                                            dist.data());
+            }
+            const int sampled = util::SampleWeightedAt(
+                std::span<const double>(dist), u01);
+            double total = 0.0;
+            for (double x : dist) total += x;
+            on_first_prefix += u01 * total == dist[0] ? 1 : 0;
+            past_total += u01 * total >= total ? 1 : 0;
+            std::vector<double> want(static_cast<size_t>(l));
+            kernels::MulRow(want.data(), cur.data(),
+                            table->data() + static_cast<size_t>(sampled) * l,
+                            l);
+            const double norm = kernels::RowSum(want.data(), l);
+            if (norm <= 0.0) {
+              std::fill(want.begin(), want.end(),
+                        1.0 / static_cast<double>(l));
+              ++uniform_fallbacks;
+            } else {
+              kernels::DivRow(want.data(), l, norm);
+            }
+
+            std::vector<double> got(static_cast<size_t>(l), -1.0);
+            std::vector<double> scratch(static_cast<size_t>(l));
+            const double max = kernels::SampledQwRowAt(
+                cur.data(), l, u01, model.wp_m, wp_off,
+                wp ? nullptr : model.cm->data(), table->data(), got.data(),
+                scratch.data());
+            for (int j = 0; j < l; ++j) {
+              ASSERT_EQ(got[static_cast<size_t>(j)],
+                        want[static_cast<size_t>(j)])
+                  << "l=" << l << " wp_m=" << model.wp_m << " row " << r
+                  << " u01=" << u01 << " label " << j;
+            }
+            ASSERT_EQ(max, kernels::RowMax(want.data(), l));
+          }
+        }
+      }
+    }
+  }
+  // The sweep must reach the boundaries it is written for.
+  EXPECT_GT(on_first_prefix, 0);
+  EXPECT_GT(past_total, 0);
+  EXPECT_GT(uniform_fallbacks, 0);
 }
 
 }  // namespace

@@ -2,9 +2,14 @@
 // of the engine — every selected question, the final result vector R*, and
 // the bit patterns of every Qc cell — for three seeds under both the
 // Accuracy* metric (confusion-matrix workers) and the F-score* metric
-// (worker-probability workers). Any silent behavioural drift in the
-// assignment path, EM, the incremental Qc refresh, or the result-selection
-// algorithms fails tier-1 here.
+// (worker-probability workers) on a 36-question binary app, and for two
+// seeds each of two paper-shaped apps: a sentiment-analysis-shaped one
+// (three labels, confusion-matrix workers, Accuracy*) and an
+// entity-resolution-shaped one (2,100 questions, confusion-matrix workers,
+// F-score*; at that size the F-score beta/gamma fold runs one full group of
+// four 512-question blocks plus a short group). Any silent behavioural
+// drift in the assignment path, EM, the incremental Qc refresh, or the
+// result-selection algorithms fails tier-1 here.
 //
 // The pinned hashes were generated against the pre-lease engine (PR 4
 // head), so they additionally prove that the HIT-lifecycle robustness layer
@@ -68,11 +73,27 @@ LabelIndex SimulatedAnswer(WorkerId worker, QuestionIndex question,
   return truth;
 }
 
-enum class GoldenMetric { kAccuracy, kFScore };
+// kAccuracy and kFScore are the 36-question binary app; the other two are
+// the paper-shaped apps described in the file header.
+enum class GoldenApp { kAccuracy, kFScore, kSentiment, kEntityRes };
+
+const char* GoldenAppName(GoldenApp app) {
+  switch (app) {
+    case GoldenApp::kAccuracy:
+      return "kAccuracy";
+    case GoldenApp::kFScore:
+      return "kFScore";
+    case GoldenApp::kSentiment:
+      return "kSentiment";
+    case GoldenApp::kEntityRes:
+      return "kEntityRes";
+  }
+  return "?";
+}
 
 struct GoldenCase {
   const char* name;
-  GoldenMetric metric;
+  GoldenApp app;
   uint64_t seed;
   uint64_t expected_hash;
 };
@@ -80,15 +101,19 @@ struct GoldenCase {
 // Regenerate with --update-golden (see file header). Hash covers every
 // assignment decision, the final R*, and every Qc cell bit pattern.
 constexpr GoldenCase kGoldenCases[] = {
-    {"accuracy_seed1", GoldenMetric::kAccuracy, 1, 0x036b70759255c554ull},
-    {"accuracy_seed2", GoldenMetric::kAccuracy, 2, 0xb7bb7b48f2ab6adcull},
-    {"accuracy_seed3", GoldenMetric::kAccuracy, 3, 0x9a05354c2f14bd48ull},
-    {"fscore_seed1", GoldenMetric::kFScore, 1, 0x238241fc60998c0bull},
-    {"fscore_seed2", GoldenMetric::kFScore, 2, 0x1fe9d74672674633ull},
-    {"fscore_seed3", GoldenMetric::kFScore, 3, 0x72a18340e252d8a0ull},
+    {"accuracy_seed1", GoldenApp::kAccuracy, 1, 0x036b70759255c554ull},
+    {"accuracy_seed2", GoldenApp::kAccuracy, 2, 0xb7bb7b48f2ab6adcull},
+    {"accuracy_seed3", GoldenApp::kAccuracy, 3, 0x9a05354c2f14bd48ull},
+    {"fscore_seed1", GoldenApp::kFScore, 1, 0x238241fc60998c0bull},
+    {"fscore_seed2", GoldenApp::kFScore, 2, 0x1fe9d74672674633ull},
+    {"fscore_seed3", GoldenApp::kFScore, 3, 0x72a18340e252d8a0ull},
+    {"sa_cm_seed1", GoldenApp::kSentiment, 1, 0xf5b5a78040f9c524ull},
+    {"sa_cm_seed2", GoldenApp::kSentiment, 2, 0x65a1ce0f9a1d15d9ull},
+    {"er_cm_seed1", GoldenApp::kEntityRes, 1, 0x619c78ac9a24ccc1ull},
+    {"er_cm_seed2", GoldenApp::kEntityRes, 2, 0x6c6d4637df77d99aull},
 };
 
-uint64_t RunGoldenTrace(GoldenMetric metric, uint64_t seed) {
+uint64_t RunGoldenTrace(GoldenApp app, uint64_t seed) {
   AppConfig config;
   config.name = "golden";
   config.num_questions = 36;
@@ -98,30 +123,55 @@ uint64_t RunGoldenTrace(GoldenMetric metric, uint64_t seed) {
   config.budget = 0.02 * 20;  // 20 HITs
   config.em.max_iterations = 10;
   config.em_refresh_interval = 3;  // exercise the incremental Qc path
-  if (metric == GoldenMetric::kAccuracy) {
-    config.metric = MetricSpec::Accuracy();
-    config.worker_kind = WorkerModel::Kind::kConfusionMatrix;
-  } else {
-    config.metric = MetricSpec::FScore(0.6, 0);
-    config.worker_kind = WorkerModel::Kind::kWorkerProbability;
+  int num_workers = 6;
+  switch (app) {
+    case GoldenApp::kAccuracy:
+      config.metric = MetricSpec::Accuracy();
+      config.worker_kind = WorkerModel::Kind::kConfusionMatrix;
+      break;
+    case GoldenApp::kFScore:
+      config.metric = MetricSpec::FScore(0.6, 0);
+      config.worker_kind = WorkerModel::Kind::kWorkerProbability;
+      break;
+    case GoldenApp::kSentiment:
+      // Two 256-row Qw chunks and two 512-candidate benefit-scan chunks.
+      config.num_questions = 600;
+      config.num_labels = 3;
+      config.questions_per_hit = 4;
+      config.budget = 0.02 * 40;  // 40 HITs
+      config.metric = MetricSpec::Accuracy();
+      config.worker_kind = WorkerModel::Kind::kConfusionMatrix;
+      num_workers = 8;
+      break;
+    case GoldenApp::kEntityRes:
+      config.num_questions = 2100;
+      config.questions_per_hit = 4;
+      config.budget = 0.02 * 40;  // 40 HITs
+      config.metric = MetricSpec::FScore(0.5, 0);
+      config.worker_kind = WorkerModel::Kind::kConfusionMatrix;
+      num_workers = 8;
+      break;
   }
 
   GroundTruthVector truth(config.num_questions);
-  for (int q = 0; q < config.num_questions; ++q) truth[q] = q % 2;
+  for (int q = 0; q < config.num_questions; ++q) {
+    truth[q] = q % config.num_labels;
+  }
 
   TaskAssignmentEngine engine(config, std::make_unique<QascaStrategy>(),
                               seed);
   uint64_t hash = 1469598103934665603ull;  // FNV-1a offset basis
   int round = 0;
   while (!engine.BudgetExhausted()) {
-    const WorkerId worker = round++ % 6;
+    const WorkerId worker = round++ % num_workers;
     auto hit = engine.RequestHit(worker);
     if (!hit.ok()) break;  // worker pool exhausted before the budget
     std::vector<LabelIndex> labels;
     labels.reserve(hit->size());
     for (QuestionIndex q : *hit) {
       hash = FnvMix(hash, static_cast<uint64_t>(q) + 1);
-      labels.push_back(SimulatedAnswer(worker, q, truth[q], 2));
+      labels.push_back(
+          SimulatedAnswer(worker, q, truth[q], config.num_labels));
     }
     EXPECT_TRUE(engine.CompleteHit(worker, labels).ok());
   }
@@ -141,7 +191,7 @@ class GoldenTraceTest : public testing::TestWithParam<GoldenCase> {};
 
 TEST_P(GoldenTraceTest, DecisionHashMatchesPinnedValue) {
   const GoldenCase& c = GetParam();
-  const uint64_t actual = RunGoldenTrace(c.metric, c.seed);
+  const uint64_t actual = RunGoldenTrace(c.app, c.seed);
   EXPECT_EQ(actual, c.expected_hash)
       << c.name << ": decision hash drifted — if the behaviour change is "
       << "intended, regenerate with --update-golden (see file header); "
@@ -162,12 +212,11 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--update-golden") == 0) {
       for (const qasca::GoldenCase& c : qasca::kGoldenCases) {
         std::printf(
-            "    {\"%s\", GoldenMetric::%s, %llu, 0x%016llxull},\n", c.name,
-            c.metric == qasca::GoldenMetric::kAccuracy ? "kAccuracy"
-                                                       : "kFScore",
+            "    {\"%s\", GoldenApp::%s, %llu, 0x%016llxull},\n", c.name,
+            qasca::GoldenAppName(c.app),
             static_cast<unsigned long long>(c.seed),
             static_cast<unsigned long long>(
-                qasca::RunGoldenTrace(c.metric, c.seed)));
+                qasca::RunGoldenTrace(c.app, c.seed)));
       }
       return 0;
     }

@@ -7,6 +7,13 @@
 namespace qasca {
 namespace {
 
+// EstimatePriorInto over a row-major n-by-l matrix's cells.
+std::vector<double> PriorOf(const std::vector<double>& cells, int num_labels) {
+  std::vector<double> prior;
+  EstimatePriorInto(cells, num_labels, &prior);
+  return prior;
+}
+
 TEST(PriorTest, UniformPriorSumsToOne) {
   std::vector<double> prior = UniformPrior(4);
   EXPECT_EQ(prior.size(), 4u);
@@ -14,26 +21,20 @@ TEST(PriorTest, UniformPriorSumsToOne) {
 }
 
 TEST(PriorTest, EstimateIsColumnMean) {
-  DistributionMatrix q(2, 2);
-  q.SetRow(0, std::vector<double>{0.8, 0.2});
-  q.SetRow(1, std::vector<double>{0.4, 0.6});
-  std::vector<double> prior = EstimatePrior(q);
+  std::vector<double> prior = PriorOf({0.8, 0.2, 0.4, 0.6}, 2);
   EXPECT_NEAR(prior[0], 0.6, 1e-12);
   EXPECT_NEAR(prior[1], 0.4, 1e-12);
 }
 
 TEST(PriorTest, EstimateOfUniformMatrixIsUniform) {
-  DistributionMatrix q(5, 3);
-  std::vector<double> prior = EstimatePrior(q);
+  std::vector<double> prior = PriorOf(
+      std::vector<double>(5 * 3, 1.0 / 3.0), 3);
   for (double p : prior) EXPECT_NEAR(p, 1.0 / 3.0, 1e-12);
 }
 
 TEST(PriorTest, EstimateSumsToOne) {
-  DistributionMatrix q(3, 3);
-  q.SetRow(0, std::vector<double>{1.0, 0.0, 0.0});
-  q.SetRow(1, std::vector<double>{0.0, 1.0, 0.0});
-  q.SetRow(2, std::vector<double>{0.2, 0.3, 0.5});
-  std::vector<double> prior = EstimatePrior(q);
+  std::vector<double> prior =
+      PriorOf({1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.2, 0.3, 0.5}, 3);
   EXPECT_NEAR(prior[0] + prior[1] + prior[2], 1.0, 1e-12);
 }
 

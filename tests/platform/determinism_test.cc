@@ -265,56 +265,95 @@ TEST(DeterminismTest, TracingNeverChangesDecisions) {
 TEST(DeterminismTest, TelemetryCountsMatchEngineCounters) {
   // The registry's counters are the engine's only count of each event, so
   // they must count with telemetry off; only the clock-reading span
-  // histograms stay empty.
-  AppConfig config;
-  config.num_questions = 36;
-  config.num_labels = 2;
-  config.questions_per_hit = 4;
-  config.pay_per_hit = 0.02;
-  config.budget = 0.02 * 12;
-  config.em_refresh_interval = 4;
-  config.telemetry_enabled = false;
-  GroundTruthVector truth(config.num_questions);
-  for (int q = 0; q < config.num_questions; ++q) {
-    truth[q] = q % config.num_labels;
-  }
-  TaskAssignmentEngine engine(config, std::make_unique<QascaStrategy>(), 7);
-  int round = 0;
-  while (!engine.BudgetExhausted()) {
-    const WorkerId worker = round++ % 6;
-    auto hit = engine.RequestHit(worker);
-    ASSERT_TRUE(hit.ok());
-    std::vector<LabelIndex> labels;
-    for (QuestionIndex q : *hit) {
-      labels.push_back(SimulatedAnswer(worker, q, truth[q],
-                                       config.num_labels));
+  // histograms stay empty. The request path's counters (resolved once per
+  // core and strategy) are pinned against counts the test keeps itself.
+  for (const MetricSpec& metric :
+       {MetricSpec::Accuracy(), MetricSpec::FScore(0.5, 0)}) {
+    const bool fscore = metric.kind == MetricSpec::Kind::kFScore;
+    SCOPED_TRACE(fscore ? "F-score" : "Accuracy");
+    AppConfig config;
+    config.num_questions = 36;
+    config.num_labels = 2;
+    config.questions_per_hit = 4;
+    config.pay_per_hit = 0.02;
+    config.budget = 0.02 * 12;
+    config.metric = metric;
+    config.em_refresh_interval = 4;
+    config.telemetry_enabled = false;
+    GroundTruthVector truth(config.num_questions);
+    for (int q = 0; q < config.num_questions; ++q) {
+      truth[q] = q % config.num_labels;
     }
-    ASSERT_TRUE(engine.CompleteHit(worker, labels).ok());
-  }
-  const util::TelemetrySnapshot snapshot = engine.TelemetrySnapshot();
-  EXPECT_FALSE(snapshot.enabled);
-  auto counter = [&snapshot](std::string_view name) -> int64_t {
-    for (const util::CounterSnapshot& c : snapshot.counters) {
-      if (c.name == name) return c.value;
+    TaskAssignmentEngine engine(config, std::make_unique<QascaStrategy>(), 7);
+    const auto& strategy =
+        static_cast<const QascaStrategy&>(engine.strategy());
+    int64_t candidates = 0;
+    int64_t outer_iterations = 0;
+    int64_t inner_iterations = 0;
+    int64_t em_iterations = 0;
+    std::map<WorkerId, int> hits_of;
+    int round = 0;
+    while (!engine.BudgetExhausted()) {
+      const WorkerId worker = round++ % 6;
+      // S^w: every question not yet assigned to this worker.
+      candidates += config.num_questions -
+                    config.questions_per_hit * hits_of[worker]++;
+      auto hit = engine.RequestHit(worker);
+      ASSERT_TRUE(hit.ok());
+      outer_iterations += strategy.last_outer_iterations();
+      inner_iterations += strategy.last_inner_iterations();
+      std::vector<LabelIndex> labels;
+      for (QuestionIndex q : *hit) {
+        labels.push_back(SimulatedAnswer(worker, q, truth[q],
+                                         config.num_labels));
+      }
+      const int refits = engine.full_em_refits();
+      ASSERT_TRUE(engine.CompleteHit(worker, labels).ok());
+      if (engine.full_em_refits() > refits) {
+        em_iterations += engine.database().parameters().iterations;
+      }
     }
-    return -1;
-  };
-  // 12 HITs, none expired. The first completion is always a full refit
-  // (no fitted workers yet); after it every 4th completion refits and the
-  // other three refresh incrementally: full refits at completions 1, 5, 9.
-  EXPECT_EQ(counter("engine.hits_assigned"), 12);
-  EXPECT_EQ(engine.assigned_hits(), 12);
-  EXPECT_EQ(counter("engine.hits_completed"), 12);
-  EXPECT_EQ(engine.completed_hits(), 12);
-  EXPECT_EQ(counter("em.full_refits"), 3);
-  EXPECT_EQ(engine.full_em_refits(), 3);
-  EXPECT_EQ(counter("em.incremental_refreshes"), 9);
-  EXPECT_EQ(engine.incremental_refreshes(), 9);
-  // Every completion records exactly questions_per_hit answers.
-  EXPECT_EQ(counter("db.answers_recorded"), 12 * config.questions_per_hit);
-  // The spans read no clock with telemetry off.
-  for (const util::LatencySnapshot& latency : snapshot.latencies) {
-    EXPECT_EQ(latency.count, 0) << latency.name;
+    const util::TelemetrySnapshot snapshot = engine.TelemetrySnapshot();
+    EXPECT_FALSE(snapshot.enabled);
+    auto counter = [&snapshot](std::string_view name) -> int64_t {
+      for (const util::CounterSnapshot& c : snapshot.counters) {
+        if (c.name == name) return c.value;
+      }
+      return -1;
+    };
+    // 12 HITs, none expired. The first completion is always a full refit
+    // (no fitted workers yet); after it every 4th completion refits and the
+    // other three refresh incrementally: full refits at completions 1, 5, 9.
+    EXPECT_EQ(counter("engine.hits_assigned"), 12);
+    EXPECT_EQ(engine.assigned_hits(), 12);
+    EXPECT_EQ(counter("engine.hits_completed"), 12);
+    EXPECT_EQ(engine.completed_hits(), 12);
+    EXPECT_EQ(counter("em.full_refits"), 3);
+    EXPECT_EQ(engine.full_em_refits(), 3);
+    EXPECT_EQ(counter("em.incremental_refreshes"), 9);
+    EXPECT_EQ(engine.incremental_refreshes(), 9);
+    // Every completion records exactly questions_per_hit answers.
+    EXPECT_EQ(counter("db.answers_recorded"), 12 * config.questions_per_hit);
+    // Six workers with two HITs each: 36 candidates, then 32.
+    EXPECT_EQ(candidates, 6 * (36 + 32));
+    EXPECT_EQ(counter("qw.samples_drawn"), candidates);
+    EXPECT_EQ(counter("topk.candidates_scanned"), fscore ? 0 : candidates);
+    EXPECT_EQ(counter("dinkelbach.outer_iterations"),
+              fscore ? outer_iterations : 0);
+    EXPECT_EQ(counter("dinkelbach.inner_iterations"),
+              fscore ? inner_iterations : 0);
+    if (fscore) {
+      EXPECT_GE(outer_iterations, 12);
+      EXPECT_GE(inner_iterations, outer_iterations);
+    } else {
+      EXPECT_EQ(outer_iterations, 12);  // one pass per Top-K request
+    }
+    EXPECT_EQ(counter("em.iterations"), em_iterations);
+    EXPECT_GE(em_iterations, 3);
+    // The spans read no clock with telemetry off.
+    for (const util::LatencySnapshot& latency : snapshot.latencies) {
+      EXPECT_EQ(latency.count, 0) << latency.name;
+    }
   }
 }
 
