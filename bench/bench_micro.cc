@@ -1,18 +1,22 @@
 // Google-benchmark microbenchmarks for the core algorithmic kernels:
 // Algorithm 1 (F-score quality via Dinkelbach), the two online assignment
-// algorithms, posterior updates, Qw estimation, one EM fit, and the exact
-// expected-F-score DP.
+// algorithms, posterior updates, Qw estimation (per row and as the fused
+// batch kernel), one EM fit, and the exact expected-F-score DP.
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <numeric>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "core/assignment/fscore_online.h"
 #include "core/assignment/topk_benefit.h"
+#include "core/kernels/kernels.h"
 #include "core/metrics/accuracy.h"
 #include "core/metrics/fscore.h"
 #include "model/em.h"
+#include "model/likelihood_cache.h"
 #include "model/posterior.h"
 #include "simulation/dataset.h"
 #include "simulation/simulated_worker.h"
@@ -113,6 +117,54 @@ void BM_EstimateWorkerRow(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EstimateWorkerRow)->Arg(2)->Arg(3)->Arg(214);
+
+// The fused Qw batch (kernels::SampledQwRows) over 2,000 candidate rows of
+// l labels with the row maxima fused, as an Accuracy* request runs it, for
+// a WP worker (cm = 0) and a CM worker (cm = 1). `s_per_row` is the cost
+// of one row, the figure DESIGN.md §12 tabulates per width.
+void BM_SampledQwRows(benchmark::State& state) {
+  const int l = static_cast<int>(state.range(0));
+  const bool cm = state.range(1) != 0;
+  constexpr int kRows = 2000;
+  util::Rng rng(9);
+  const DistributionMatrix qc = bench::RandomMatrix(kRows, l, rng);
+  // A diagonal-heavy row-stochastic confusion matrix.
+  std::vector<double> matrix(static_cast<size_t>(l) * l);
+  for (int t = 0; t < l; ++t) {
+    double* row = matrix.data() + static_cast<size_t>(t) * l;
+    double sum = 0.0;
+    for (int a = 0; a < l; ++a) {
+      row[a] = rng.Uniform(0.05, 1.0) + (a == t ? l : 0.0);
+      sum += row[a];
+    }
+    for (int a = 0; a < l; ++a) row[a] /= sum;
+  }
+  const double wp_m = 0.8;
+  const WorkerModel model =
+      cm ? WorkerModel::Cm(matrix, l) : WorkerModel::Wp(wp_m, l);
+  const WorkerLikelihoods table = WorkerLikelihoods::FromModel(model);
+  std::vector<int> candidates(kRows);
+  std::iota(candidates.begin(), candidates.end(), 0);
+  std::vector<double> out(static_cast<size_t>(kRows) * l);
+  std::vector<double> row_max(kRows);
+  std::vector<double> dist(static_cast<size_t>(l));
+  uint64_t base = 0;
+  for (auto _ : state) {
+    kernels::SampledQwRows(
+        qc.Row(0).data(), l, candidates.data(), kRows, ++base,
+        cm ? kernels::AnswerModel::kCm : kernels::AnswerModel::kWp, wp_m,
+        (1.0 - wp_m) / (l - 1), table.Row(0), out.data(), row_max.data(),
+        dist.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["s_per_row"] = benchmark::Counter(
+      kRows, benchmark::Counter::kIsIterationInvariantRate |
+                 benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SampledQwRows)
+    ->ArgsProduct({{2, 3, 4, 5, 8}, {0, 1}})
+    ->ArgNames({"l", "cm"});
 
 void BM_EmFit(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

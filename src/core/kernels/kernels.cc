@@ -11,8 +11,11 @@
 
 namespace qasca::kernels {
 
+// Unrolled so that the fixed-width Qw rows, which call it at a constant
+// width, keep their answer distribution in registers.
 void WpAnswerDistribution(const double* row, int n, double m, double off,
                           double* out) {
+#pragma GCC unroll 4
   for (int i = 0; i < n; ++i) out[i] = m * row[i] + off * (1.0 - row[i]);
 }
 
@@ -67,67 +70,144 @@ inline double VariateFor(uint64_t base, int question) {
   return stream.NextDouble();
 }
 
-// One l == 2 row: the same op sequence as the composed kernels
-// (WpAnswerDistribution / CmAnswerDistribution, the cumulative sampling
-// rule, MulRow, the n <= 4 left-to-right RowSum, the 1/n uniform fallback
-// and DivRow's true division), unrolled so the row and its answer
-// distribution stay in registers instead of a scratch row and runtime-l
-// loops. The sampled label comes from the two comparisons and picks the
-// likelihood row by address: the draw is random, so a branch on it would
-// be mispredicted about as often as the smaller label is drawn. Returns
-// the row's maximum.
-inline double SampledRowL2(const double* cur, double u01, double wp_m,
-                           double wp_off, const double* cm, const double* lik,
-                           double* o) {
-  const double r0 = cur[0];
-  const double r1 = cur[1];
-  double d0;
-  double d1;
-  if (cm == nullptr) {
-    d0 = wp_m * r0 + wp_off * (1.0 - r0);
-    d1 = wp_m * r1 + wp_off * (1.0 - r1);
-  } else {
-    // Ascending-truth accumulation, cm row-major [truth][answered].
-    d0 = cm[0] * r0 + cm[2] * r1;
-    d1 = cm[1] * r0 + cm[3] * r1;
+// The kCm answer distribution of any width over the transposed likelihood
+// table: one accumulator per answered label, adding L[a][t] * row[t] in
+// ascending t. CmAnswerDistribution makes the same adds through memory,
+// taking cm[t * l + a] == L[a][t]; it starts each lane at 0.0, and
+// 0.0 + x == x for the non-negative products here. Unrolled like
+// WpAnswerDistribution.
+inline void CmAnswerDistributionFromTable(const double* lik, const double* row,
+                                          int l, double* out) {
+#pragma GCC unroll 4
+  for (int a = 0; a < l; ++a) {
+    const double* la = lik + static_cast<size_t>(a) * l;
+    double acc = la[0] * row[0];
+#pragma GCC unroll 4
+    for (int t = 1; t < l; ++t) acc += la[t] * row[t];
+    out[a] = acc;
   }
-  const double total = d0 + d1;
+}
+
+// One row of L = 2 or 3 labels: the composed kernels' op sequence (the
+// answer distribution, the cumulative sampling rule, MulRow, the n <= 4
+// left-to-right RowSum, the 1/L uniform fallback and DivRow's true
+// division), fully unrolled, so the current row, its answer distribution,
+// the sampled label and the conditioned row stay in registers instead of a
+// scratch row and runtime-l loops. The first add of each fold starts from
+// its first term rather than 0.0; 0.0 + x == x for the non-negative terms
+// here. The sampled label is the count of prefix sums at or below the
+// target (see SampleDistributionAt) and picks the likelihood row by
+// address. Returns the row's maximum. The code is scalar on purpose: a row
+// of three doubles is 24 bytes, so two-lane vectors would straddle rows,
+// and every lane feeds one prefix-sum chain (DESIGN.md §12). Forced inline
+// so the batch loop makes no call per row.
+template <int L, AnswerModel kModel>
+[[gnu::always_inline]] inline double SampledRowFixed(
+    const double* cur, double u01, double wp_m, double wp_off,
+    const double* lik, double* o) {
+  static_assert(L >= 2 && L <= kMaxFixedWidthLabels);
+  double r[L];
+  double d[L];
+#pragma GCC unroll 4
+  for (int j = 0; j < L; ++j) r[j] = cur[j];
+  if constexpr (kModel == AnswerModel::kWp) {
+    WpAnswerDistribution(r, L, wp_m, wp_off, d);
+  } else {
+    CmAnswerDistributionFromTable(lik, r, L, d);
+  }
+  // Prefix sums; the last is the left-to-right total.
+  double cumulative[L];
+  cumulative[0] = d[0];
+#pragma GCC unroll 4
+  for (int a = 1; a < L; ++a) cumulative[a] = cumulative[a - 1] + d[a];
+  const double total = cumulative[L - 1];
   QASCA_DCHECK_GT(total, 0.0) << "all sampling weights are zero";
   const double target = u01 * total;
-  // Label 0 when the target falls below d0 (the first prefix sum), or when
-  // it reaches the total (the second prefix sum, d0 + d1) and the
-  // last-positive fallback finds lane 1 empty and lane 0 not; else 1.
-  const bool first = target < d0;
-  const bool fallback_first =
-      !(target < total) & !(d1 > 0.0) & (d0 > 0.0);
-  const int sampled = 1 - static_cast<int>(first | fallback_first);
-  const double* ls = lik + static_cast<size_t>(sampled) * 2;
-  const double w0 = r0 * ls[0];
-  const double w1 = r1 * ls[1];
-  const double norm = w0 + w1;
-  double o0;
-  double o1;
-  if (norm <= 0.0) {
-    o0 = 0.5;  // NormalizePosteriorRow's uniform fallback, 1.0 / n
-    o1 = 0.5;
-  } else {
-    o0 = w0 / norm;
-    o1 = w1 / norm;
+  int sampled = 0;
+#pragma GCC unroll 4
+  for (int a = 0; a < L; ++a) {
+    sampled += static_cast<int>(!(target < cumulative[a]));
   }
-  o[0] = o0;
-  o[1] = o1;
-  return o0 < o1 ? o1 : o0;
+  if (sampled == L) [[unlikely]] {
+    // The last-positive fallback; L - 1 when no weight is positive.
+    int last_positive = L - 1;
+#pragma GCC unroll 4
+    for (int a = 0; a < L; ++a) {
+      last_positive = d[a] > 0.0 ? a : last_positive;
+    }
+    sampled = last_positive;
+  }
+  const double* ls = lik + static_cast<size_t>(sampled) * L;
+  double w[L];
+#pragma GCC unroll 4
+  for (int j = 0; j < L; ++j) w[j] = r[j] * ls[j];
+  double norm = w[0];
+#pragma GCC unroll 4
+  for (int j = 1; j < L; ++j) norm += w[j];
+  double q[L];
+  if (norm <= 0.0) {
+#pragma GCC unroll 4
+    for (int j = 0; j < L; ++j) q[j] = 1.0 / L;  // the uniform fallback
+  } else {
+#pragma GCC unroll 4
+    for (int j = 0; j < L; ++j) q[j] = w[j] / norm;
+  }
+  double max = q[0];
+#pragma GCC unroll 4
+  for (int j = 0; j < L; ++j) {
+    o[j] = q[j];
+    max = max < q[j] ? q[j] : max;
+  }
+  return max;
+}
+
+template <int L, AnswerModel kModel>
+void SampledRowsFixed(const double* qc, const int* candidates, int rows,
+                      uint64_t base, double wp_m, double wp_off,
+                      const double* lik, double* out, double* row_max) {
+  for (int c = 0; c < rows; ++c) {
+    const int question = candidates[c];
+    const double max = SampledRowFixed<L, kModel>(
+        qc + static_cast<size_t>(question) * L, VariateFor(base, question),
+        wp_m, wp_off, lik, out + static_cast<size_t>(c) * L);
+    if (row_max != nullptr) row_max[c] = max;
+  }
+}
+
+template <int L>
+void SampledRowsFixed(AnswerModel model, const double* qc,
+                      const int* candidates, int rows, uint64_t base,
+                      double wp_m, double wp_off, const double* lik,
+                      double* out, double* row_max) {
+  if (model == AnswerModel::kWp) {
+    SampledRowsFixed<L, AnswerModel::kWp>(qc, candidates, rows, base, wp_m,
+                                          wp_off, lik, out, row_max);
+  } else {
+    SampledRowsFixed<L, AnswerModel::kCm>(qc, candidates, rows, base, wp_m,
+                                          wp_off, lik, out, row_max);
+  }
+}
+
+template <int L>
+double SampledRowFixed(AnswerModel model, const double* cur, double u01,
+                       double wp_m, double wp_off, const double* lik,
+                       double* o) {
+  return model == AnswerModel::kWp
+             ? SampledRowFixed<L, AnswerModel::kWp>(cur, u01, wp_m, wp_off,
+                                                    lik, o)
+             : SampledRowFixed<L, AnswerModel::kCm>(cur, u01, wp_m, wp_off,
+                                                    lik, o);
 }
 
 // One row of any width through the composed kernels; `dist` holds l
 // doubles. Returns the row's maximum.
 inline double SampledRowGeneral(const double* cur, int l, double u01,
-                                double wp_m, double wp_off, const double* cm,
+                                AnswerModel model, double wp_m, double wp_off,
                                 const double* lik, double* o, double* dist) {
-  if (cm == nullptr) {
+  if (model == AnswerModel::kWp) {
     WpAnswerDistribution(cur, l, wp_m, wp_off, dist);
   } else {
-    CmAnswerDistribution(cm, cur, l, dist);
+    CmAnswerDistributionFromTable(lik, cur, l, dist);
   }
   const int sampled = SampleDistributionAt(dist, l, u01);
   MulRow(o, cur, lik + static_cast<size_t>(sampled) * l, l);
@@ -143,38 +223,43 @@ inline double SampledRowGeneral(const double* cur, int l, double u01,
 }  // namespace
 
 double SampledQwRowAt(const double* current_row, int l, double u01,
-                      double wp_m, double wp_off, const double* cm,
+                      AnswerModel model, double wp_m, double wp_off,
                       const double* likelihoods, double* out,
                       double* dist_scratch) {
-  if (l == 2) {
-    return SampledRowL2(current_row, u01, wp_m, wp_off, cm, likelihoods, out);
+  switch (l) {
+    case 2:
+      return SampledRowFixed<2>(model, current_row, u01, wp_m, wp_off,
+                                likelihoods, out);
+    case 3:
+      return SampledRowFixed<3>(model, current_row, u01, wp_m, wp_off,
+                                likelihoods, out);
+    default:
+      return SampledRowGeneral(current_row, l, u01, model, wp_m, wp_off,
+                               likelihoods, out, dist_scratch);
   }
-  return SampledRowGeneral(current_row, l, u01, wp_m, wp_off, cm, likelihoods,
-                           out, dist_scratch);
 }
 
-// Timed over 2000 binary rows at -O2 on a 4-thread x86-64 host, the l == 2
-// path costs about 5.3 ns per row (WP and CM), against 10.5 ns when the
-// sampled label was a branch on the draw.
+// bench_micro's BM_SampledQwRows times this per width and model (DESIGN.md
+// §12 tabulates the results).
 void SampledQwRows(const double* qc, int l, const int* candidates, int rows,
-                   uint64_t base, double wp_m, double wp_off,
-                   const double* cm, const double* likelihoods, double* out,
+                   uint64_t base, AnswerModel model, double wp_m,
+                   double wp_off, const double* likelihoods, double* out,
                    double* row_max, double* dist_scratch) {
-  if (l == 2) {
-    for (int c = 0; c < rows; ++c) {
-      const int question = candidates[c];
-      const double max = SampledRowL2(
-          qc + static_cast<size_t>(question) * 2, VariateFor(base, question),
-          wp_m, wp_off, cm, likelihoods, out + static_cast<size_t>(c) * 2);
-      if (row_max != nullptr) row_max[c] = max;
-    }
-    return;
+  switch (l) {
+    case 2:
+      return SampledRowsFixed<2>(model, qc, candidates, rows, base, wp_m,
+                                 wp_off, likelihoods, out, row_max);
+    case 3:
+      return SampledRowsFixed<3>(model, qc, candidates, rows, base, wp_m,
+                                 wp_off, likelihoods, out, row_max);
+    default:
+      break;
   }
   for (int c = 0; c < rows; ++c) {
     const int question = candidates[c];
     const double max = SampledRowGeneral(
         qc + static_cast<size_t>(question) * l, l, VariateFor(base, question),
-        wp_m, wp_off, cm, likelihoods, out + static_cast<size_t>(c) * l,
+        model, wp_m, wp_off, likelihoods, out + static_cast<size_t>(c) * l,
         dist_scratch);
     if (row_max != nullptr) row_max[c] = max;
   }

@@ -19,7 +19,8 @@
 /// that do multiply-add (WpAnswerDistribution, CmAnswerDistribution,
 /// SampledQwRows) live in kernels.cc, compiled with -ffp-contract=off.
 /// CmAnswerDistribution accumulates each output lane in ascending-truth
-/// order.
+/// order; SampledQwRows forms the same lanes from the transposed likelihood
+/// table, and CmAnswerDistribution stays as its reference.
 ///
 /// The float-determinism analyzer pass excludes src/core/kernels/: this
 /// directory *is* an audited fold implementation, like util/fold.h.
@@ -83,12 +84,31 @@ void WpAnswerDistribution(const double* row, int n, double m, double off,
 void CmAnswerDistribution(const double* cm, const double* row, int l,
                           double* out);
 
+/// How SampledQwRows forms a worker's predicted answer distribution
+/// P(a = answered | D_i) (Eq. 17) from the current row q.
+enum class AnswerModel {
+  /// Worker probability: the closed form m * q + off * (1 - q), as
+  /// WpAnswerDistribution computes it.
+  kWp,
+  /// Confusion matrix: out[answered] = sum_truth L[answered][truth] * q[truth]
+  /// over the transposed likelihood table, each lane accumulated in
+  /// ascending-truth order: the same products and adds as
+  /// CmAnswerDistribution over the row-major matrix, whose [truth][answered]
+  /// entry is L[answered][truth].
+  kCm,
+};
+
+/// Rows of 2 to this many labels run SampledQwRows' fixed-width path, with
+/// no scratch; every other width composes the kernels through
+/// `dist_scratch`. Every paper app and benchmark workload has 2 or 3 labels
+/// except CompanyLogo (214).
+inline constexpr int kMaxFixedWidthLabels = 3;
+
 /// Fused sampled-mode Qw batch (Eqs. 17-18; one call per scan chunk). For
 /// each candidate c in [0, rows):
 ///   1. reads the current row at qc + candidates[c] * l,
-///   2. forms the predicted answer distribution — the WP closed form
-///      m * q + off * (1 - q) when cm == nullptr, else the confusion-matrix
-///      product over the row-major [truth][answered] matrix `cm`,
+///   2. forms the predicted answer distribution as `model` says (kWp from
+///      wp_m and wp_off, kCm from `likelihoods`),
 ///   3. derives the candidate's uniform variate from the per-request seed
 ///      `base` — a util::SplitMix64 stream seeded with
 ///      MixSeed(base, candidates[c]), one NextDouble() —
@@ -98,8 +118,9 @@ void CmAnswerDistribution(const double* cm, const double* row, int l,
 ///      out + c * l (RowSum fold, uniform fallback, true division).
 /// When row_max != nullptr, the normalised row's maximum — the Accuracy*
 /// row quality — is additionally written to row_max[c] while the row is
-/// still hot. `dist_scratch` must hold l doubles (per-chunk scratch; unused
-/// by the l == 2 path).
+/// still hot. `dist_scratch` must hold l doubles (per-chunk scratch)
+/// unless 2 <= l <= kMaxFixedWidthLabels; those rows never read it, and
+/// it may be null for them.
 ///
 /// Every arithmetic step reproduces the exact op sequence of the per-row
 /// composition (WpAnswerDistribution / CmAnswerDistribution,
@@ -108,8 +129,8 @@ void CmAnswerDistribution(const double* cm, const double* row, int l,
 /// The answered label is selected from comparison results, not by a branch
 /// on the draw (DESIGN.md §12, "Branch-free selects").
 void SampledQwRows(const double* qc, int l, const int* candidates, int rows,
-                   uint64_t base, double wp_m, double wp_off,
-                   const double* cm, const double* likelihoods, double* out,
+                   uint64_t base, AnswerModel model, double wp_m,
+                   double wp_off, const double* likelihoods, double* out,
                    double* row_max, double* dist_scratch);
 
 /// One row of SampledQwRows at an explicit uniform variate `u01` in
@@ -118,7 +139,7 @@ void SampledQwRows(const double* qc, int l, const int* candidates, int rows,
 /// u01 = the candidate's SplitMix64 variate; a test can place the sampling
 /// target on a prefix-sum boundary.
 double SampledQwRowAt(const double* current_row, int l, double u01,
-                      double wp_m, double wp_off, const double* cm,
+                      AnswerModel model, double wp_m, double wp_off,
                       const double* likelihoods, double* out,
                       double* dist_scratch);
 

@@ -182,48 +182,75 @@ void EstimateWorkerRowsInto(const DistributionMatrix& current,
   const uint64_t base = rng.engine()();
 
   if (count == 0) return;
-  double* row_max = fuse_row_max ? overlay->ArmQualities() : nullptr;
 
   // WP answer distributions come from the O(l) closed-form kernel; every
-  // other model shape goes through the confusion-matrix kernel against one
-  // hoisted row-major copy of the matrix (AsConfusionMatrix materialises the
-  // same AnswerProbability doubles, so the products match
-  // EstimateWorkerRowAt's model-call loop bitwise).
+  // other model shape forms them from the transposed likelihood table,
+  // which holds the AnswerProbability doubles EstimateWorkerRowAt's
+  // model-call loop multiplies by, so the products match it bitwise.
   const bool use_wp_kernel =
       model.kind() == WorkerModel::Kind::kWorkerProbability && num_labels > 1;
   const double wp_m = use_wp_kernel ? model.worker_probability() : 0.0;
-  const double wp_off =
-      use_wp_kernel ? (1.0 - wp_m) / (num_labels - 1) : 0.0;
-  std::vector<double> cm;
-  if (!use_wp_kernel) cm = model.AsConfusionMatrix();
 
-  // Per-chunk kernel scratch: one l-sized row per chunk (the predicted
-  // answer distribution), addressed by the canonical chunk index so
-  // parallel chunks never share.
-  std::vector<double> scratch(
-      static_cast<size_t>(util::NumChunks(0, count, kQwScanGrain)) *
-      num_labels);
+  // Rows off the kernel's fixed-width path need one l-sized row per chunk
+  // (the predicted answer distribution), addressed by the canonical chunk
+  // index so parallel chunks never share.
+  std::vector<double> scratch;
+  if (num_labels < 2 || num_labels > kernels::kMaxFixedWidthLabels) {
+    scratch.resize(
+        static_cast<size_t>(util::NumChunks(0, count, kQwScanGrain)) *
+        num_labels);
+  }
 
   // Fused batch kernel (kernels::SampledQwRows): answer distribution,
   // per-candidate SplitMix64 variate, weighted draw, conditioning and
   // normalisation in one call per chunk. Overlay slots are
   // slot-contiguous per chunk (slot == candidate position), so the chunk
   // writes one dense [cb, ce) block of rows — and of fused row maxima.
-  const double* qc_base = current.Row(0).data();
+  // The chunk body captures its inputs through one reference: ParallelFor
+  // takes a std::function, which keeps a closure of one pointer inline but
+  // allocates one of a dozen references on every request.
+  const struct {
+    const double* qc;
+    int num_labels;
+    const QuestionIndex* candidates;
+    uint64_t base;
+    kernels::AnswerModel answer_model;
+    double wp_m;
+    double wp_off;
+    const double* likelihoods;
+    QwOverlay* overlay;
+    double* row_max;
+    double* scratch;
+  } batch{
+      .qc = current.Row(0).data(),
+      .num_labels = num_labels,
+      .candidates = candidates.data(),
+      .base = base,
+      .answer_model = use_wp_kernel ? kernels::AnswerModel::kWp
+                                    : kernels::AnswerModel::kCm,
+      .wp_m = wp_m,
+      .wp_off = use_wp_kernel ? (1.0 - wp_m) / (num_labels - 1) : 0.0,
+      .likelihoods = likelihoods.Row(0),
+      .overlay = overlay,
+      .row_max = fuse_row_max ? overlay->ArmQualities() : nullptr,
+      .scratch = scratch.empty() ? nullptr : scratch.data(),
+  };
   util::Span batch_span(telemetry, util::tnames::kSpanQwSampledBatch);
-  util::ParallelFor(pool, 0, count, kQwScanGrain, [&](int cb, int ce) {
+  util::ParallelFor(pool, 0, count, kQwScanGrain, [&batch](int cb, int ce) {
+    const int l = batch.num_labels;
     const int chunk = util::ChunkIndex(0, cb, kQwScanGrain);
-    double* dist = scratch.data() + static_cast<size_t>(chunk) * num_labels;
+    double* dist = batch.scratch != nullptr
+                       ? batch.scratch + static_cast<size_t>(chunk) * l
+                       : nullptr;
     kernels::SampledQwRows(
-        qc_base, num_labels, candidates.data() + cb, ce - cb, base, wp_m,
-        wp_off, use_wp_kernel ? nullptr : cm.data(), likelihoods.Row(0),
-        overlay->MutableRow(cb), row_max != nullptr ? row_max + cb : nullptr,
-        dist);
+        batch.qc, l, batch.candidates + cb, ce - cb, batch.base,
+        batch.answer_model, batch.wp_m, batch.wp_off, batch.likelihoods,
+        batch.overlay->MutableRow(cb),
+        batch.row_max != nullptr ? batch.row_max + cb : nullptr, dist);
 #if QASCA_ENABLE_DCHECKS
     for (int c = cb; c < ce; ++c) {
-      QASCA_DCHECK_OK(invariants::CheckDistributionRow(
-          std::span<const double>(overlay->MutableRow(c),
-                                  static_cast<size_t>(num_labels))));
+      QASCA_DCHECK_OK(invariants::CheckDistributionRow(std::span<const double>(
+          batch.overlay->MutableRow(c), static_cast<size_t>(l))));
     }
 #endif
   });

@@ -125,10 +125,13 @@ DistributionMatrix EstimateWorkerDistribution(
 /// rows into `overlay` (reusable per-strategy scratch; reads of other rows
 /// fall through to `current` via AssignmentRequest::EstimatedRow) and runs
 /// the answer-distribution / posterior-weight inner loops through the
-/// row kernels (core/kernels/kernels.h) with zero per-candidate
-/// allocations.
+/// row kernels (core/kernels/kernels.h). Once the overlay's buffers have
+/// grown to the request's size, it allocates nothing for rows of two or
+/// three labels; other widths allocate one per-chunk scratch vector.
 /// `likelihoods` must be the transposed table for `model`
-/// (WorkerLikelihoods::Rebuild on the strategy's scratch table).
+/// (WorkerLikelihoods::Rebuild on the strategy's scratch table): every row
+/// is conditioned through it, and a confusion-matrix worker's answer
+/// distribution is formed from it.
 ///
 /// Same randomness contract as EstimateWorkerDistribution, and bit-identical
 /// overlay rows: for every candidate i, overlay->Row(i) holds exactly the

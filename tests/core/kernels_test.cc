@@ -32,6 +32,20 @@ std::vector<double> TestRow(int n, uint64_t salt) {
   return row;
 }
 
+// The transposed likelihood table of a row-major [truth][answered]
+// confusion matrix: row `answered` holds cm[truth][answered] over truth, as
+// WorkerLikelihoods lays it out.
+std::vector<double> TransposedTable(const std::vector<double>& cm, int l) {
+  std::vector<double> table(cm.size());
+  for (int t = 0; t < l; ++t) {
+    for (int a = 0; a < l; ++a) {
+      table[static_cast<size_t>(a * l + t)] =
+          cm[static_cast<size_t>(t * l + a)];
+    }
+  }
+  return table;
+}
+
 // The sizes swept by the schedule tests: all the remainder classes of the
 // 4-lane schedule plus a few cache-line-straddling lengths.
 std::vector<int> TestSizes() {
@@ -220,11 +234,14 @@ TEST(QwOverlayTest, QualityChannelArmsPerEpoch) {
 // per-row composition it replaced: answer-distribution kernel,
 // util::SampleWeightedAt on a SplitMix64 variate derived from
 // (base, question), MulRow conditioning, RowSum/DivRow normalisation with
-// the 1/n fallback. Bit-equal rows, samples and fused maxima, for the
-// inlined l == 2 path and the composed general path, WP and CM shapes.
+// the 1/n fallback. Bit-equal rows, samples and fused maxima, at every
+// width the kernel distinguishes (the fixed-width path at l = 2 and 3 and
+// the composed path above it), WP and CM shapes. A CM worker's
+// distribution comes from its transposed likelihood table in the kernel
+// and from the row-major matrix in the reference.
 TEST(KernelEquivalenceTest, SampledQwRowsMatchesComposedPipeline) {
   const uint64_t base = 0x5eedf00dcafe1234ull;
-  for (int l : {2, 3, 5}) {
+  for (int l : {2, 3, 4, 5, 8}) {
     // A small "matrix" of n questions by l labels, rows normalised.
     const int n = 12;
     std::vector<double> qc = TestRow(n * l, /*salt=*/91u + l);
@@ -233,17 +250,22 @@ TEST(KernelEquivalenceTest, SampledQwRowsMatchesComposedPipeline) {
       for (int j = 0; j < l; ++j) sum += qc[i * l + j];
       for (int j = 0; j < l; ++j) qc[i * l + j] /= sum;
     }
-    // Likelihood table: l x l positive doubles; rows need no normalisation
-    // (conditioning renormalises).
-    const std::vector<double> lik = TestRow(l * l, /*salt=*/17u + l);
-    // Confusion matrix for the CM shape, row-major [truth][answered].
+    // The WP worker's likelihood table: l x l positive doubles; rows need
+    // no normalisation (conditioning renormalises).
+    const std::vector<double> wp_lik = TestRow(l * l, /*salt=*/17u + l);
+    // Confusion matrix for the CM shape, row-major [truth][answered], and
+    // its table.
     const std::vector<double> cm = TestRow(l * l, /*salt=*/33u + l);
+    const std::vector<double> cm_lik = TransposedTable(cm, l);
     const double wp_m = 0.8;
     const double wp_off = (1.0 - wp_m) / (l - 1);
     const std::vector<int> candidates = {0, 2, 3, 5, 7, 8, 11};
     const int rows = static_cast<int>(candidates.size());
 
     for (bool wp : {true, false}) {
+      const std::vector<double>& lik = wp ? wp_lik : cm_lik;
+      const kernels::AnswerModel model =
+          wp ? kernels::AnswerModel::kWp : kernels::AnswerModel::kCm;
       // Reference: the unfused composition.
       std::vector<double> want(static_cast<size_t>(rows) * l);
       std::vector<double> want_max(static_cast<size_t>(rows));
@@ -274,9 +296,9 @@ TEST(KernelEquivalenceTest, SampledQwRowsMatchesComposedPipeline) {
       std::vector<double> got(static_cast<size_t>(rows) * l, -1.0);
       std::vector<double> got_max(static_cast<size_t>(rows), -1.0);
       std::vector<double> scratch(static_cast<size_t>(l));
-      kernels::SampledQwRows(qc.data(), l, candidates.data(), rows, base, wp_m,
-                             wp_off, wp ? nullptr : cm.data(), lik.data(),
-                             got.data(), got_max.data(), scratch.data());
+      kernels::SampledQwRows(qc.data(), l, candidates.data(), rows, base, model,
+                             wp_m, wp_off, lik.data(), got.data(),
+                             got_max.data(), scratch.data());
       for (size_t x = 0; x < got.size(); ++x) {
         EXPECT_EQ(got[x], want[x])
             << "l=" << l << " wp=" << wp << " cell " << x;
@@ -285,10 +307,14 @@ TEST(KernelEquivalenceTest, SampledQwRowsMatchesComposedPipeline) {
         EXPECT_EQ(got_max[c], want_max[c])
             << "l=" << l << " wp=" << wp << " row " << c;
       }
-      // row_max == nullptr must be accepted (non-Accuracy* callers).
-      kernels::SampledQwRows(qc.data(), l, candidates.data(), rows, base, wp_m,
-                             wp_off, wp ? nullptr : cm.data(), lik.data(),
-                             got.data(), nullptr, scratch.data());
+      // row_max == nullptr must be accepted (non-Accuracy* callers), and the
+      // fixed-width path must not need the scratch row.
+      std::fill(got.begin(), got.end(), -1.0);
+      kernels::SampledQwRows(qc.data(), l, candidates.data(), rows, base, model,
+                             wp_m, wp_off, lik.data(), got.data(), nullptr,
+                             l <= kernels::kMaxFixedWidthLabels
+                                 ? nullptr
+                                 : scratch.data());
       for (size_t x = 0; x < got.size(); ++x) {
         ASSERT_EQ(got[x], want[x]);
       }
@@ -297,27 +323,33 @@ TEST(KernelEquivalenceTest, SampledQwRowsMatchesComposedPipeline) {
 }
 
 // The per-row kernel at variates that put the sampling target on a
-// prefix-sum boundary, against the composed reference. u01 = 0 puts the
-// target on every leading zero lane's prefix sum: a perfect WP worker
-// (m = 1, off = 0) carries the row's zero lanes into its answer
-// distribution, and a worker who always answers the last label has every
-// other lane zero whatever the row. The largest double below 1 puts the
-// target one ulp under the total, or, when the total is subnormal (a
-// confusion matrix of tiny entries), onto it: the last-positive fallback's
-// case, which a worker who answers only the first label, with tiny
-// probability, meets with trailing zero lanes. Rows
-// include a zero lane in every position and a zero-mass product row, whose
-// likelihoods vanish on the row's support so the conditioned row falls
-// back to 1/l.
+// prefix-sum boundary, against the composed reference, at every width the
+// kernel distinguishes. For every row, one variate per inner prefix sum
+// puts the target exactly on it, so the sampled label depends on that
+// sum's last bit, which only the reference's adds in the reference's
+// order reproduce. u01 = 0 puts the target on every leading zero
+// lane's prefix sum: a perfect WP worker (m = 1, off = 0) carries the row's
+// zero lanes into its answer distribution, and a worker who always answers
+// the last label has every other lane zero whatever the row. The largest
+// double below 1 puts the target one ulp under the total, or, when the
+// total is subnormal (a confusion matrix of tiny entries), onto it: the
+// last-positive fallback's case, which a worker who answers only the first
+// label, with tiny probability, meets with trailing zero lanes. Rows
+// include a zero lane in every position and a one-hot row; under a WP
+// worker whose likelihoods vanish on the one-hot row's support, its
+// product row has zero mass and the conditioned row falls back to 1/l. (A
+// CM worker conditions on the table its distribution comes from, so it
+// never samples a label of zero likelihood on the row's support.)
 TEST(KernelEquivalenceTest, SampledQwRowAtMatchesComposedPipelineOnBoundaries) {
   const double variates[] = {0.0, std::nextafter(1.0, 0.0), 0.5, 0.25,
                              0.999, 1e-300};
   int on_first_prefix = 0;
+  int on_inner_prefix = 0;
   int past_total = 0;
   int uniform_fallbacks = 0;
-  for (int l : {2, 3, 5}) {
+  for (int l : {2, 3, 4, 5, 8}) {
     // Row shapes: generic, a zero lane at every position, and a one-hot
-    // row (the zero-mass row under `lik_zero`).
+    // row.
     std::vector<std::vector<double>> rows;
     rows.push_back(TestRow(l, /*salt=*/500u + l));
     for (int zero = 0; zero < l; ++zero) {
@@ -349,69 +381,93 @@ TEST(KernelEquivalenceTest, SampledQwRowAtMatchesComposedPipelineOnBoundaries) {
       tiny_first_label[static_cast<size_t>(t * l)] = 1e-308;
     }
 
-    // WP at m = 0.7 and the perfect m = 1, then the confusion matrices.
+    // WP at m = 0.7 and the perfect m = 1, each under both tables, then
+    // the confusion matrices, each under its own transposed table.
     struct Model {
       double wp_m;
       const std::vector<double>* cm;
+      std::vector<double> table;
     };
-    const Model models[] = {{0.7, nullptr},      {1.0, nullptr},
-                            {0.0, &cm},          {0.0, &tiny_cm},
-                            {0.0, &last_label},  {0.0, &tiny_first_label}};
+    const Model models[] = {{0.7, nullptr, lik},
+                            {0.7, nullptr, lik_zero},
+                            {1.0, nullptr, lik},
+                            {1.0, nullptr, lik_zero},
+                            {0.0, &cm, TransposedTable(cm, l)},
+                            {0.0, &tiny_cm, TransposedTable(tiny_cm, l)},
+                            {0.0, &last_label, TransposedTable(last_label, l)},
+                            {0.0, &tiny_first_label,
+                             TransposedTable(tiny_first_label, l)}};
     for (const Model& model : models) {
       const bool wp = model.cm == nullptr;
       const double wp_off = wp ? (1.0 - model.wp_m) / (l - 1) : 0.0;
       for (size_t r = 0; r < rows.size(); ++r) {
         const std::vector<double>& cur = rows[r];
-        for (const std::vector<double>* table :
-             {&lik, static_cast<const std::vector<double>*>(&lik_zero)}) {
-          for (double u01 : variates) {
-            std::vector<double> dist(static_cast<size_t>(l));
-            if (wp) {
-              kernels::WpAnswerDistribution(cur.data(), l, model.wp_m, wp_off,
-                                            dist.data());
-            } else {
-              kernels::CmAnswerDistribution(model.cm->data(), cur.data(), l,
-                                            dist.data());
-            }
-            const int sampled = util::SampleWeightedAt(
-                std::span<const double>(dist), u01);
-            double total = 0.0;
-            for (double x : dist) total += x;
-            on_first_prefix += u01 * total == dist[0] ? 1 : 0;
-            past_total += u01 * total >= total ? 1 : 0;
-            std::vector<double> want(static_cast<size_t>(l));
-            kernels::MulRow(want.data(), cur.data(),
-                            table->data() + static_cast<size_t>(sampled) * l,
-                            l);
-            const double norm = kernels::RowSum(want.data(), l);
-            if (norm <= 0.0) {
-              std::fill(want.begin(), want.end(),
-                        1.0 / static_cast<double>(l));
-              ++uniform_fallbacks;
-            } else {
-              kernels::DivRow(want.data(), l, norm);
-            }
-
-            std::vector<double> got(static_cast<size_t>(l), -1.0);
-            std::vector<double> scratch(static_cast<size_t>(l));
-            const double max = kernels::SampledQwRowAt(
-                cur.data(), l, u01, model.wp_m, wp_off,
-                wp ? nullptr : model.cm->data(), table->data(), got.data(),
-                scratch.data());
-            for (int j = 0; j < l; ++j) {
-              ASSERT_EQ(got[static_cast<size_t>(j)],
-                        want[static_cast<size_t>(j)])
-                  << "l=" << l << " wp_m=" << model.wp_m << " row " << r
-                  << " u01=" << u01 << " label " << j;
-            }
-            ASSERT_EQ(max, kernels::RowMax(want.data(), l));
+        std::vector<double> dist(static_cast<size_t>(l));
+        if (wp) {
+          kernels::WpAnswerDistribution(cur.data(), l, model.wp_m, wp_off,
+                                        dist.data());
+        } else {
+          kernels::CmAnswerDistribution(model.cm->data(), cur.data(), l,
+                                        dist.data());
+        }
+        double total = 0.0;
+        for (double x : dist) total += x;
+        // Besides the fixed variates, one that puts the target exactly on
+        // each inner prefix sum, where the label turns on the last bit of
+        // that sum: a kernel that forms the distribution with other adds,
+        // or in another order, samples another label there.
+        std::vector<double> row_variates(std::begin(variates),
+                                         std::end(variates));
+        double cumulative = 0.0;
+        for (int k = 0; k + 1 < l; ++k) {
+          cumulative += dist[static_cast<size_t>(k)];
+          double u = cumulative / total;
+          for (int step = 0; step < 4 && u * total != cumulative; ++step) {
+            u = std::nextafter(u, u * total < cumulative ? 1.0 : 0.0);
           }
+          if (u * total == cumulative && u < 1.0 && cumulative > 0.0) {
+            row_variates.push_back(u);
+            ++on_inner_prefix;
+          }
+        }
+        for (double u01 : row_variates) {
+          const int sampled =
+              util::SampleWeightedAt(std::span<const double>(dist), u01);
+          on_first_prefix += u01 * total == dist[0] ? 1 : 0;
+          past_total += u01 * total >= total ? 1 : 0;
+          std::vector<double> want(static_cast<size_t>(l));
+          kernels::MulRow(want.data(), cur.data(),
+                          model.table.data() + static_cast<size_t>(sampled) * l,
+                          l);
+          const double norm = kernels::RowSum(want.data(), l);
+          if (norm <= 0.0) {
+            std::fill(want.begin(), want.end(), 1.0 / static_cast<double>(l));
+            ++uniform_fallbacks;
+          } else {
+            kernels::DivRow(want.data(), l, norm);
+          }
+
+          std::vector<double> got(static_cast<size_t>(l), -1.0);
+          std::vector<double> scratch(static_cast<size_t>(l));
+          const double max = kernels::SampledQwRowAt(
+              cur.data(), l, u01,
+              wp ? kernels::AnswerModel::kWp : kernels::AnswerModel::kCm,
+              model.wp_m, wp_off, model.table.data(), got.data(),
+              scratch.data());
+          for (int j = 0; j < l; ++j) {
+            ASSERT_EQ(got[static_cast<size_t>(j)],
+                      want[static_cast<size_t>(j)])
+                << "l=" << l << " wp_m=" << model.wp_m << " row " << r
+                << " u01=" << u01 << " label " << j;
+          }
+          ASSERT_EQ(max, kernels::RowMax(want.data(), l));
         }
       }
     }
   }
   // The sweep must reach the boundaries it is written for.
   EXPECT_GT(on_first_prefix, 0);
+  EXPECT_GT(on_inner_prefix, 0);
   EXPECT_GT(past_total, 0);
   EXPECT_GT(uniform_fallbacks, 0);
 }

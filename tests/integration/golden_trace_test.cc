@@ -7,24 +7,31 @@
 // (three labels, confusion-matrix workers, Accuracy*) and an
 // entity-resolution-shaped one (2,100 questions, confusion-matrix workers,
 // F-score*; at that size the F-score beta/gamma fold runs one full group of
-// four 512-question blocks plus a short group). Any silent behavioural
-// drift in the assignment path, EM, the incremental Qc refresh, or the
-// result-selection algorithms fails tier-1 here.
+// four 512-question blocks plus a short group), and for two seeds each of
+// two synthetic apps that cover the other Qw row widths and worker shapes:
+// four labels with confusion-matrix workers under Accuracy*, and three
+// labels with worker-probability workers under F-score*. Any silent
+// behavioural drift in the assignment path, EM, the incremental Qc refresh,
+// or the result-selection algorithms fails tier-1 here.
 //
 // The pinned hashes were generated against the pre-lease engine (PR 4
 // head), so they additionally prove that the HIT-lifecycle robustness layer
 // (leases, duplicate detection, journaling) is byte-identical to the old
-// engine while disarmed.
+// engine while disarmed. The l4_cm and l3_wp hashes were recorded while the
+// Qw kernel still composed rows of more than two labels through a scratch
+// row and formed a CM worker's answer distribution from a copy of its
+// matrix, so they also pin the three-label fixed-width path and the
+// table-read CM distribution (DESIGN.md §12) to that kernel.
 //
 // Regenerating after an INTENDED behaviour change:
 //
 //   cmake --build build -j --target integration_golden_trace_test
 //   ./build/tests/integration_golden_trace_test --update-golden
 //
-// prints a fresh kGoldenCases table; paste it over the one below and
-// explain the behaviour change in the commit message. Never regenerate to
-// silence an unexplained mismatch — that is the drift this test exists to
-// catch.
+// prints fresh kGoldenCases rows, then fresh kRowWidthCases rows; paste
+// each set over its table below and explain the behaviour change in the
+// commit message. Never regenerate to silence an unexplained mismatch —
+// that is the drift this test exists to catch.
 
 #include <cstdint>
 #include <cstdio>
@@ -40,7 +47,7 @@
 namespace qasca {
 
 // Not in an anonymous namespace: main() below (outside namespace qasca)
-// reuses RunGoldenTrace and kGoldenCases for --update-golden.
+// reuses the trace runners and case tables for --update-golden.
 uint64_t FnvMix(uint64_t hash, uint64_t value) {
   hash ^= value;
   hash *= 1099511628211ull;
@@ -98,6 +105,32 @@ struct GoldenCase {
   uint64_t expected_hash;
 };
 
+// The synthetic apps: kSentiment's shape with `num_labels` labels, and with
+// worker-probability workers under F-score* in place of confusion-matrix
+// workers under Accuracy* when `worker_probability` is set.
+//
+// They have a type and table of their own because gtest names a GoldenCase
+// test after the case's raw bytes, `name` pointer included: string literals
+// added ahead of kGoldenCases's would rename those tests. A RowWidthCase
+// test is named by PrintTo instead, and this table sits above kGoldenCases
+// so that its literals are emitted after that table's.
+struct RowWidthCase {
+  const char* name;
+  int num_labels;
+  bool worker_probability;
+  uint64_t seed;
+  uint64_t expected_hash;
+};
+
+void PrintTo(const RowWidthCase& c, std::ostream* os) { *os << c.name; }
+
+constexpr RowWidthCase kRowWidthCases[] = {
+    {"l4_cm_seed1", 4, false, 1, 0xf55b500b97d88f1eull},
+    {"l4_cm_seed2", 4, false, 2, 0x5f06323c471ffae7ull},
+    {"l3_wp_seed1", 3, true, 1, 0xfb24604d3f84dc58ull},
+    {"l3_wp_seed2", 3, true, 2, 0x0162af3450a30748ull},
+};
+
 // Regenerate with --update-golden (see file header). Hash covers every
 // assignment decision, the final R*, and every Qc cell bit pattern.
 constexpr GoldenCase kGoldenCases[] = {
@@ -113,7 +146,7 @@ constexpr GoldenCase kGoldenCases[] = {
     {"er_cm_seed2", GoldenApp::kEntityRes, 2, 0x6c6d4637df77d99aull},
 };
 
-uint64_t RunGoldenTrace(GoldenApp app, uint64_t seed) {
+AppConfig GoldenConfig(GoldenApp app, int* num_workers) {
   AppConfig config;
   config.name = "golden";
   config.num_questions = 36;
@@ -123,7 +156,7 @@ uint64_t RunGoldenTrace(GoldenApp app, uint64_t seed) {
   config.budget = 0.02 * 20;  // 20 HITs
   config.em.max_iterations = 10;
   config.em_refresh_interval = 3;  // exercise the incremental Qc path
-  int num_workers = 6;
+  *num_workers = 6;
   switch (app) {
     case GoldenApp::kAccuracy:
       config.metric = MetricSpec::Accuracy();
@@ -141,7 +174,7 @@ uint64_t RunGoldenTrace(GoldenApp app, uint64_t seed) {
       config.budget = 0.02 * 40;  // 40 HITs
       config.metric = MetricSpec::Accuracy();
       config.worker_kind = WorkerModel::Kind::kConfusionMatrix;
-      num_workers = 8;
+      *num_workers = 8;
       break;
     case GoldenApp::kEntityRes:
       config.num_questions = 2100;
@@ -149,10 +182,13 @@ uint64_t RunGoldenTrace(GoldenApp app, uint64_t seed) {
       config.budget = 0.02 * 40;  // 40 HITs
       config.metric = MetricSpec::FScore(0.5, 0);
       config.worker_kind = WorkerModel::Kind::kConfusionMatrix;
-      num_workers = 8;
+      *num_workers = 8;
       break;
   }
+  return config;
+}
 
+uint64_t RunTrace(const AppConfig& config, int num_workers, uint64_t seed) {
   GroundTruthVector truth(config.num_questions);
   for (int q = 0; q < config.num_questions; ++q) {
     truth[q] = q % config.num_labels;
@@ -187,6 +223,23 @@ uint64_t RunGoldenTrace(GoldenApp app, uint64_t seed) {
   return hash;
 }
 
+uint64_t RunGoldenTrace(GoldenApp app, uint64_t seed) {
+  int num_workers = 0;
+  const AppConfig config = GoldenConfig(app, &num_workers);
+  return RunTrace(config, num_workers, seed);
+}
+
+uint64_t RunRowWidthTrace(const RowWidthCase& c) {
+  int num_workers = 0;
+  AppConfig config = GoldenConfig(GoldenApp::kSentiment, &num_workers);
+  config.num_labels = c.num_labels;
+  if (c.worker_probability) {
+    config.metric = MetricSpec::FScore(0.5, 0);
+    config.worker_kind = WorkerModel::Kind::kWorkerProbability;
+  }
+  return RunTrace(config, num_workers, c.seed);
+}
+
 class GoldenTraceTest : public testing::TestWithParam<GoldenCase> {};
 
 TEST_P(GoldenTraceTest, DecisionHashMatchesPinnedValue) {
@@ -204,6 +257,21 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.name);
     });
 
+class GoldenRowWidthTest : public testing::TestWithParam<RowWidthCase> {};
+
+TEST_P(GoldenRowWidthTest, DecisionHashMatchesPinnedValue) {
+  const RowWidthCase& c = GetParam();
+  const uint64_t actual = RunRowWidthTrace(c);
+  EXPECT_EQ(actual, c.expected_hash)
+      << c.name << ": decision hash drifted — if the behaviour change is "
+      << "intended, regenerate with --update-golden (see file header); "
+      << "actual 0x" << std::hex << actual;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSeeds, GoldenRowWidthTest,
+                         testing::ValuesIn(kRowWidthCases),
+                         testing::PrintToStringParamName());
+
 }  // namespace qasca
 
 // Custom main so the binary doubles as the golden-table regenerator.
@@ -217,6 +285,13 @@ int main(int argc, char** argv) {
             static_cast<unsigned long long>(c.seed),
             static_cast<unsigned long long>(
                 qasca::RunGoldenTrace(c.app, c.seed)));
+      }
+      for (const qasca::RowWidthCase& c : qasca::kRowWidthCases) {
+        std::printf("    {\"%s\", %d, %s, %llu, 0x%016llxull},\n", c.name,
+                    c.num_labels, c.worker_probability ? "true" : "false",
+                    static_cast<unsigned long long>(c.seed),
+                    static_cast<unsigned long long>(
+                        qasca::RunRowWidthTrace(c)));
       }
       return 0;
     }

@@ -1,5 +1,7 @@
 #include "model/likelihood_cache.h"
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -68,14 +70,39 @@ struct QwScenario {
   WorkerModel model;
 };
 
+// A row-stochastic l-by-l confusion matrix with most mass on the diagonal
+// and irregular off-diagonal entries.
+WorkerModel NoisyCm(int l, uint64_t salt) {
+  util::Rng rng(salt);
+  std::vector<double> matrix(static_cast<size_t>(l) * l);
+  for (int t = 0; t < l; ++t) {
+    double* row = matrix.data() + static_cast<size_t>(t) * l;
+    double sum = 0.0;
+    for (int a = 0; a < l; ++a) {
+      row[a] = rng.Uniform(0.05, 1.0) + (a == t ? 2.0 : 0.0);
+      sum += row[a];
+    }
+    for (int a = 0; a < l; ++a) row[a] /= sum;
+  }
+  return WorkerModel::Cm(std::move(matrix), l);
+}
+
+// Every width the Qw kernel distinguishes: its fixed-width path (l = 2, 3)
+// and the composed path on either side of it (l = 1, 4, 5).
 std::vector<QwScenario> QwScenarios() {
   return {
+      {"wp/l1", WorkerModel::Wp(0.9, 1)},
+      {"cm/l1", WorkerModel::Cm({1.0}, 1)},
       {"wp/l2", WorkerModel::Wp(0.8, 2)},
       {"wp/l3", WorkerModel::Wp(0.65, 3)},
+      {"wp/l4", WorkerModel::Wp(0.7, 4)},
+      {"wp/l5", WorkerModel::Wp(0.55, 5)},
       {"cm/l2", WorkerModel::Cm({0.85, 0.15, 0.2, 0.8}, 2)},
       {"cm/l3",
        WorkerModel::Cm({0.7, 0.2, 0.1, 0.15, 0.75, 0.1, 0.1, 0.15, 0.75},
                        3)},
+      {"cm/l4", NoisyCm(4, /*salt=*/44)},
+      {"cm/l5", NoisyCm(5, /*salt=*/55)},
   };
 }
 

@@ -1,9 +1,10 @@
 // Allocation guard for the HIT-request path: once its request-scoped
 // scratch has grown (DESIGN.md §12), a Decide at n = 2000 allocates less
 // than 1 KiB — the k-sized result, not buffers of size n — for an F-score*
-// app and an Accuracy* app. The executable replaces the global operator
-// new with one that counts the bytes requested while a probe is armed, so
-// it is a test binary of its own.
+// app and an Accuracy* app, and its Qw estimation allocates nothing for rows
+// of up to three labels. The executable replaces the global operator new
+// with one that counts the bytes requested while a probe is armed, so it is
+// a test binary of its own.
 
 #include <atomic>
 #include <cstddef>
@@ -16,8 +17,14 @@
 
 #include <gtest/gtest.h>
 
+#include "core/assignment/qw_overlay.h"
+#include "core/distribution_matrix.h"
+#include "core/kernels/kernels.h"
+#include "model/likelihood_cache.h"
+#include "model/posterior.h"
 #include "platform/assignment_core.h"
 #include "platform/qasca_strategy.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -112,9 +119,62 @@ TEST(DecideAllocationTest, WarmedUpDecideAllocatesUnderOneKiB) {
     const Allocations allocations = MeasureDecide(metric);
     EXPECT_LT(allocations.bytes, 1024)
         << what << ": " << allocations.count << " allocations";
-    // Nothing of size n: the k-sized selection and its scores, and the
-    // O(l^2) per-request tables of the Qw estimation.
+    // Nothing of size n: the k-sized selection and its scores remain (the
+    // Qw estimation allocates nothing; the case below pins that).
     EXPECT_GT(allocations.count, 0) << what << ": the probe counted nothing";
+  }
+}
+
+// The Qw estimation of a request, EstimateWorkerRowsInto, with the overlay
+// and likelihood table kept across requests as QascaStrategy keeps them:
+// once warmed up it allocates nothing for WP and CM workers on the kernel's
+// fixed-width path (l = 2, 3), and only the per-chunk scratch row on its
+// composed path (l = 5). Neither copies a CM worker's matrix.
+TEST(DecideAllocationTest, WarmedUpQwEstimationAllocatesOnlyWideRowScratch) {
+  const int n = 2000;
+  for (int l : {2, 3, 5}) {
+    util::Rng rng(11);
+    DistributionMatrix qc(n, l);
+    std::vector<double> weights(static_cast<size_t>(l));
+    for (int i = 0; i < n; ++i) {
+      for (double& w : weights) w = rng.Uniform(0.05, 1.0);
+      qc.SetRowNormalized(i, weights);
+    }
+    std::vector<double> matrix(static_cast<size_t>(l) * l);
+    for (int t = 0; t < l; ++t) {
+      for (int a = 0; a < l; ++a) {
+        matrix[static_cast<size_t>(t * l + a)] =
+            a == t ? 0.6 : 0.4 / static_cast<double>(l - 1);
+      }
+    }
+    // Every question but each seventh: an ascending list of many chunks.
+    std::vector<QuestionIndex> candidates;
+    for (QuestionIndex i = 0; i < n; ++i) {
+      if (i % 7 != 0) candidates.push_back(i);
+    }
+    for (const WorkerModel& model :
+         {WorkerModel::Wp(0.8, l), WorkerModel::Cm(matrix, l)}) {
+      const std::string what =
+          (model.kind() == WorkerModel::Kind::kWorkerProbability ? "WP"
+                                                                 : "CM") +
+          std::string(" l=") + std::to_string(l);
+      WorkerLikelihoods table;
+      table.Rebuild(model);
+      QwOverlay overlay;
+      for (int request = 0; request < 2; ++request) {
+        g_bytes = 0;
+        g_allocations = 0;
+        g_counting = request == 1;
+        table.Rebuild(model);
+        EstimateWorkerRowsInto(qc, model, table, candidates, QwMode::kSampled,
+                               rng, &overlay, /*pool=*/nullptr,
+                               /*telemetry=*/nullptr, /*fuse_row_max=*/true);
+        g_counting = false;
+      }
+      EXPECT_EQ(g_allocations.load(),
+                l <= kernels::kMaxFixedWidthLabels ? 0 : 1)
+          << what << ": " << g_bytes.load() << " bytes";
+    }
   }
 }
 
