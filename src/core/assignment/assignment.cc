@@ -17,16 +17,6 @@ DistributionMatrix BuildAssignmentMatrix(
   return result;
 }
 
-DistributionMatrix BuildAssignmentMatrix(
-    const AssignmentRequest& request,
-    const std::vector<QuestionIndex>& selected) {
-  DistributionMatrix result = *request.current;
-  for (QuestionIndex i : selected) {
-    result.SetRow(i, request.EstimatedRow(i));
-  }
-  return result;
-}
-
 void ValidateRequest(const AssignmentRequest& request) {
   QASCA_CHECK(request.current != nullptr);
   QASCA_CHECK(request.estimated != nullptr);
@@ -35,12 +25,11 @@ void ValidateRequest(const AssignmentRequest& request) {
   QASCA_CHECK_EQ(request.current->num_labels(),
                  request.estimated->num_labels());
   if (request.overlay != nullptr) {
-    // Overlay rows must be shaped like the matrices they overlay; question
-    // range is enforced per-read by QwOverlay itself.
+    // One overlay row per candidate position, shaped like Qc's rows.
     QASCA_CHECK_EQ(request.overlay->num_labels(),
                    request.current->num_labels());
-    QASCA_CHECK_EQ(request.overlay->num_questions(),
-                   request.current->num_questions());
+    QASCA_CHECK_EQ(static_cast<size_t>(request.overlay->rows_materialized()),
+                   request.candidates.size());
   }
   QASCA_CHECK_GT(request.k, 0);
   QASCA_CHECK_LE(static_cast<size_t>(request.k), request.candidates.size());
@@ -48,14 +37,15 @@ void ValidateRequest(const AssignmentRequest& request) {
       request.candidates, request.current->num_questions()));
   // Rows of `estimated` outside the candidate set are allowed to be stale,
   // so only the current matrix is validated wholesale; the estimated rows
-  // that will actually be read are checked per-candidate (through the
-  // overlay when one is attached, exactly as the algorithms read them).
+  // that will actually be read are checked per candidate, exactly as the
+  // algorithms read them.
   QASCA_DCHECK_OK(invariants::CheckDistributionMatrix(*request.current));
 #if QASCA_ENABLE_DCHECKS
-  for (QuestionIndex i : request.candidates) {
+  for (size_t c = 0; c < request.candidates.size(); ++c) {
     util::Status status =
-        invariants::CheckDistributionRow(request.EstimatedRow(i));
-    QASCA_DCHECK(status.ok()) << "estimated row " << i << ": "
+        invariants::CheckDistributionRow(request.EstimatedSlotRow(c));
+    QASCA_DCHECK(status.ok()) << "estimated row of candidate "
+                              << request.candidates[c] << ": "
                               << status.ToString();
   }
 #endif

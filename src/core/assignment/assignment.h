@@ -23,7 +23,8 @@ namespace qasca {
 /// scratch"); a request without one gets empty buffers local to the call.
 /// Nothing in them carries over from one call to the next.
 struct AssignmentScratch {
-  /// F-score: Qw's target entry per candidate position.
+  /// F-score: Qw's target entry, n-sized like b and d below and, like
+  /// them, written only at candidate entries, the only ones read.
   std::vector<double> estimated;
   /// F-score: the Update step's program. b and d are n-sized and written
   /// only at candidate entries, the only ones the solver reads.
@@ -42,20 +43,19 @@ struct AssignmentScratch {
 /// requesting worker, the worker's candidate set S^w (questions not yet
 /// assigned to them), and the HIT size k.
 ///
-/// Rows of `estimated` outside `candidates` are never read.
+/// Qw is read only at the candidate set, by candidate position, through
+/// EstimatedSlotRow(c); rows of `estimated` outside `candidates` are never
+/// read.
 ///
 /// Zero-copy form (DESIGN.md §12): when `overlay` is set, only the candidate
-/// rows of Qw exist — materialised in the overlay's scratch, slot c holding
-/// candidates[c]'s row as EstimateWorkerRowsInto fills it — and `estimated`
-/// points at Qc so non-candidate reads fall through to the current matrix.
-/// Algorithms read Qw rows through EstimatedRow(), which resolves
-/// overlay-then-fallthrough, or per candidate position through
-/// EstimatedSlotRow(); both representations hold the same doubles, so
-/// selections are bit-identical either way.
+/// rows of Qw exist, slot c of the overlay holding candidates[c]'s row as
+/// EstimateWorkerRowsInto fills it, and `estimated` is not read. Both
+/// representations hold the same doubles, so selections are bit-identical
+/// either way.
 struct AssignmentRequest {
   const DistributionMatrix* current = nullptr;    // Qc
   const DistributionMatrix* estimated = nullptr;  // Qw
-  /// Optional zero-copy Qw view over `estimated` (candidate rows only).
+  /// Optional zero-copy Qw: one row per candidate, in candidate order.
   const QwOverlay* overlay = nullptr;
   /// The candidate set S^w: distinct question indices, any order.
   std::vector<QuestionIndex> candidates;
@@ -81,24 +81,12 @@ struct AssignmentRequest {
   /// (= the objective) as a by-product either way.
   bool compute_objective = true;
 
-  /// Row i of the worker's estimated matrix Qw: the overlay row when one is
-  /// attached and holds i, else row i of `estimated`. This is the only way
-  /// assignment algorithms read Qw.
-  std::span<const double> EstimatedRow(QuestionIndex i) const {
-    if (overlay != nullptr && overlay->Contains(i)) return overlay->Row(i);
-    return estimated->Row(i);
-  }
-
   /// The Qw row of candidates[c]: overlay slot c when an overlay is
-  /// attached (no per-question lookup), else that row of `estimated`.
+  /// attached, else that row of `estimated`. This is the only way
+  /// assignment algorithms read Qw.
   std::span<const double> EstimatedSlotRow(size_t c) const {
-    const QuestionIndex i = candidates[c];
-    if (overlay == nullptr) return estimated->Row(i);
-    QASCA_DCHECK(overlay->Contains(i) &&
-                 overlay->Row(i).data() ==
-                     overlay->SlotRow(static_cast<int>(c)).data())
-        << "overlay slot " << c << " does not hold candidate " << i;
-    return overlay->SlotRow(static_cast<int>(c));
+    if (overlay != nullptr) return overlay->SlotRow(static_cast<int>(c));
+    return estimated->Row(candidates[c]);
   }
 };
 
@@ -131,16 +119,9 @@ DistributionMatrix BuildAssignmentMatrix(
     const DistributionMatrix& current, const DistributionMatrix& estimated,
     const std::vector<QuestionIndex>& selected);
 
-/// Request-based form of BuildAssignmentMatrix: estimated rows are read
-/// through request.EstimatedRow(), so it works for both the deep-copy and
-/// the overlay Qw representations.
-DistributionMatrix BuildAssignmentMatrix(
-    const AssignmentRequest& request,
-    const std::vector<QuestionIndex>& selected);
-
 /// Validates structural invariants of `request` (matching shapes, distinct
-/// in-range candidates, 0 < k <= |S^w|). Aborts on violation; assignment
-/// entry points call this first.
+/// in-range candidates, 0 < k <= |S^w|, an overlay row per candidate).
+/// Aborts on violation; assignment entry points call this first.
 void ValidateRequest(const AssignmentRequest& request);
 
 }  // namespace qasca

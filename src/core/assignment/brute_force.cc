@@ -2,24 +2,22 @@
 
 #include <vector>
 
+#include "util/invariants.h"
 #include "util/logging.h"
 
 namespace qasca {
 namespace {
 
-// Invokes `visit` with every size-k combination of `candidates`.
+// Invokes `visit` with every size-k combination of the positions [0, m), each
+// in ascending order.
 template <typename Visitor>
-void ForEachCombination(const std::vector<QuestionIndex>& candidates, int k,
-                        Visitor visit) {
-  std::vector<QuestionIndex> combination(k);
+void ForEachCombination(int m, int k, Visitor visit) {
   std::vector<int> cursor(k);
   for (int c = 0; c < k; ++c) cursor[c] = c;
-  const int n = static_cast<int>(candidates.size());
   while (true) {
-    for (int c = 0; c < k; ++c) combination[c] = candidates[cursor[c]];
-    visit(combination);
+    visit(cursor);
     int c = k - 1;
-    while (c >= 0 && cursor[c] == n - k + c) --c;
+    while (c >= 0 && cursor[c] == m - k + c) --c;
     if (c < 0) return;
     ++cursor[c];
     for (int d = c + 1; d < k; ++d) cursor[d] = cursor[d - 1] + 1;
@@ -34,14 +32,23 @@ AssignmentResult AssignBruteForce(const AssignmentRequest& request,
   AssignmentResult best;
   best.objective = -1.0;
   ForEachCombination(
-      request.candidates, request.k,
-      [&](const std::vector<QuestionIndex>& combination) {
-        DistributionMatrix qx = BuildAssignmentMatrix(request, combination);
+      static_cast<int>(request.candidates.size()), request.k,
+      [&](const std::vector<int>& positions) {
+        // Q^X (Eq. 1): Qc with the chosen candidates' rows taken from Qw.
+        DistributionMatrix qx = *request.current;
+        for (int c : positions) {
+          qx.SetRow(request.candidates[static_cast<size_t>(c)],
+                    request.EstimatedSlotRow(static_cast<size_t>(c)));
+        }
+        QASCA_DCHECK_OK(invariants::CheckDistributionMatrix(qx));
         double quality = metric.Quality(qx);
         ++best.outer_iterations;  // Repurposed as the enumeration count.
         if (quality > best.objective) {
           best.objective = quality;
-          best.selected = combination;
+          best.selected.clear();
+          for (int c : positions) {
+            best.selected.push_back(request.candidates[static_cast<size_t>(c)]);
+          }
         }
       });
   return best;

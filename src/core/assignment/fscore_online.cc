@@ -113,7 +113,7 @@ bool SameBits(double a, double b) {
 // it over "exactly k questions from the candidate set" into
 // scratch->solution: the maximising selection (ascending), the updated
 // delta_{t+1} and the inner Dinkelbach iteration count v.
-// scratch->estimated[c] is Qw's target entry of question candidates[c].
+// scratch->estimated[i] is Qw's target entry of candidate question i.
 // The first step runs at delta = prepared.delta_init, whose beta/gamma the
 // preparation already folded. b and d are n-sized; only candidate entries
 // are written, and SolveExactlyK reads no others.
@@ -139,10 +139,10 @@ void UpdateDelta(const AssignmentRequest& request,
   // \hat{r}^w given by the delta*alpha threshold of Eq. 15. Each
   // threshold test selects its terms through KeepIf: the same doubles as
   // `r ? value : 0.0`, without a branch on where a probability falls.
-  for (size_t c = 0; c < request.candidates.size(); ++c) {
-    const auto i = static_cast<size_t>(request.candidates[c]);
+  for (const QuestionIndex question : request.candidates) {
+    const auto i = static_cast<size_t>(question);
     const double pc = current[i];
-    const double pw = estimated[c];
+    const double pw = estimated[i];
     const bool rc = pc >= threshold;
     const bool rw = pw >= threshold;
     problem.b[i] = KeepIf(rw, pw) - KeepIf(rc, pc);
@@ -164,22 +164,20 @@ AssignmentResult Assign(const AssignmentRequest& request,
   const LabelIndex t = prepared.options.target_label;
   const std::vector<double>& current = prepared.column;
   const size_t num_candidates = request.candidates.size();
-  if (request.overlay != nullptr) {
-    QASCA_CHECK_EQ(request.overlay->rows_materialized(),
-                   static_cast<int>(num_candidates));
-  }
   AssignmentScratch local;
   AssignmentScratch* scratch =
       request.scratch != nullptr ? request.scratch : &local;
 
   // Qw does not change across the Update calls of one request, so its
-  // target entry per candidate position is gathered once.
+  // target entry is gathered once, at the candidate entries of an n-sized
+  // array beside b and d (written only there, so never cleared).
   std::vector<double>& estimated = scratch->estimated;
-  estimated.resize(num_candidates);
+  estimated.resize(static_cast<size_t>(n));
   bool estimated_mass = false;
   for (size_t c = 0; c < num_candidates; ++c) {
-    estimated[c] = request.EstimatedSlotRow(c)[t];
-    estimated_mass |= estimated[c] > 0.0;
+    const double pw = request.EstimatedSlotRow(c)[t];
+    estimated[static_cast<size_t>(request.candidates[c])] = pw;
+    estimated_mass |= pw > 0.0;
   }
 
   // Degenerate instance: every target probability is zero, so F-score* is 0
@@ -222,7 +220,7 @@ AssignmentResult Assign(const AssignmentRequest& request,
         // Diagnostic score: the target-label probability swing this
         // assignment contributes (Eq. 15's numerator change).
         result.selected_scores[static_cast<size_t>(s)] =
-            request.EstimatedRow(i)[t] - current[static_cast<size_t>(i)];
+            estimated[static_cast<size_t>(i)] - current[static_cast<size_t>(i)];
       }
       QASCA_CHECK_OK(
           invariants::CheckAssignment(result.selected, request.k, n));

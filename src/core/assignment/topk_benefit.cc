@@ -27,8 +27,8 @@ constexpr int kBenefitScanGrain = 512;
 // quality), templated on the two quality reads so concrete instantiations —
 // the Accuracy* row max below, the generic RowQualityFn wrapper — inline
 // them into the per-candidate loop instead of paying a type-erased call per
-// row. `est_quality(i)` / `cur_quality(i)` are the qualities of question
-// i's estimated and current rows.
+// row. `est_quality(c)` is the quality of candidate position c's estimated
+// row, `cur_quality(i)` that of question i's current row.
 //
 // Selection is a streaming top-k (BoundedTopK, core/top_k.h): each chunk
 // keeps its own k best candidates under ScoreGreater, and the serial
@@ -61,7 +61,7 @@ AssignmentResult ScanTopKBenefit(const AssignmentRequest& request,
                              k);
         for (int c = cb; c < ce; ++c) {
           const QuestionIndex i = request.candidates[static_cast<size_t>(c)];
-          selector.Offer({est_quality(i) - cur_quality(i), i});
+          selector.Offer({est_quality(c) - cur_quality(i), i});
         }
         local_counts[static_cast<size_t>(chunk)] = selector.count();
       });
@@ -127,7 +127,9 @@ AssignmentResult AssignTopKBenefitDecomposable(
   const DistributionMatrix& current = *request.current;
   return ScanTopKBenefit(
       request,
-      [&](QuestionIndex i) { return row_quality(request.EstimatedRow(i)); },
+      [&](int c) {
+        return row_quality(request.EstimatedSlotRow(static_cast<size_t>(c)));
+      },
       [&](QuestionIndex i) { return row_quality(current.Row(i)); });
 }
 
@@ -145,9 +147,10 @@ AssignmentResult AssignTopKBenefit(const AssignmentRequest& request) {
   const bool fused_qualities = overlay != nullptr && overlay->has_qualities();
   return ScanTopKBenefit(
       request,
-      [&, fused_qualities](QuestionIndex i) {
-        if (fused_qualities) return overlay->Quality(i);
-        const std::span<const double> row = request.EstimatedRow(i);
+      [&, fused_qualities](int c) {
+        if (fused_qualities) return overlay->Quality(c);
+        const std::span<const double> row =
+            request.EstimatedSlotRow(static_cast<size_t>(c));
         return kernels::RowMax(row.data(), static_cast<int>(row.size()));
       },
       [&](QuestionIndex i) {

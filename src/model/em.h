@@ -63,12 +63,12 @@ EmResult RunEm(const AnswerSet& answers, int num_labels,
                const EmOptions& options, util::ThreadPool* pool = nullptr,
                util::Counter* iterations = nullptr);
 
-/// Warm-started EM: initialises the posteriors from `previous` (falling back
-/// to the vote bootstrap for questions whose answer count changed shape) and
-/// iterates from there. On the platform's HIT-completion path — where each
-/// refit sees the previous answer set plus k new answers — this converges in
-/// one or two rounds instead of the cold fit's half dozen, with the same
-/// fixed point. `pool` and `iterations` as in RunEm.
+/// Warm-started EM: seeds the posteriors by one E-step of `previous`'s
+/// worker models and prior over `answers`, then iterates from there. When
+/// `previous` has another shape or no fitted workers, runs the cold fit
+/// (RunEm) instead. How many rounds this saves over the cold fit on the
+/// HIT-completion path, and whether it reaches the same fixed point, has
+/// not been measured. `pool` and `iterations` as in RunEm.
 EmResult RunEmWarmStart(const AnswerSet& answers, int num_labels,
                         const EmOptions& options, const EmResult& previous,
                         util::ThreadPool* pool = nullptr,

@@ -164,17 +164,12 @@ void EstimateWorkerRowsInto(const DistributionMatrix& current,
   const int num_labels = current.num_labels();
   QASCA_CHECK_EQ(model.num_labels(), num_labels);
   QASCA_CHECK_EQ(likelihoods.num_labels(), num_labels);
+  // Qc's rows are read at the candidates' indices: one read-only pass for
+  // the ascending lists the database hands out.
+  QASCA_CHECK_OK(
+      invariants::CheckCandidateSet(candidates, current.num_questions()));
   const int count = static_cast<int>(candidates.size());
-  {
-    // Arming the overlay (slot table reset + candidate stamping) is the
-    // serial prefix of every estimation; traced separately so a trace shows
-    // how much of estimate_qw is setup vs. row kernels.
-    util::Span overlay_span(telemetry, util::tnames::kSpanQwOverlayFill);
-    overlay->Begin(current.num_questions(), num_labels, count);
-    for (int c = 0; c < count; ++c) {
-      overlay->Stamp(candidates[static_cast<size_t>(c)], c);
-    }
-  }
+  overlay->Begin(num_labels, count);
 
   // Same base-draw discipline as EstimateWorkerDistribution: exactly one
   // engine draw, from which every candidate derives its own SplitMix64
@@ -190,6 +185,9 @@ void EstimateWorkerRowsInto(const DistributionMatrix& current,
   const bool use_wp_kernel =
       model.kind() == WorkerModel::Kind::kWorkerProbability && num_labels > 1;
   const double wp_m = use_wp_kernel ? model.worker_probability() : 0.0;
+  const double wp_off = use_wp_kernel ? (1.0 - wp_m) / (num_labels - 1) : 0.0;
+  const kernels::AnswerModel answer_model =
+      use_wp_kernel ? kernels::AnswerModel::kWp : kernels::AnswerModel::kCm;
 
   // Rows off the kernel's fixed-width path need one l-sized row per chunk
   // (the predicted answer distribution), addressed by the canonical chunk
@@ -203,54 +201,27 @@ void EstimateWorkerRowsInto(const DistributionMatrix& current,
 
   // Fused batch kernel (kernels::SampledQwRows): answer distribution,
   // per-candidate SplitMix64 variate, weighted draw, conditioning and
-  // normalisation in one call per chunk. Overlay slots are
-  // slot-contiguous per chunk (slot == candidate position), so the chunk
-  // writes one dense [cb, ce) block of rows — and of fused row maxima.
-  // The chunk body captures its inputs through one reference: ParallelFor
-  // takes a std::function, which keeps a closure of one pointer inline but
-  // allocates one of a dozen references on every request.
-  const struct {
-    const double* qc;
-    int num_labels;
-    const QuestionIndex* candidates;
-    uint64_t base;
-    kernels::AnswerModel answer_model;
-    double wp_m;
-    double wp_off;
-    const double* likelihoods;
-    QwOverlay* overlay;
-    double* row_max;
-    double* scratch;
-  } batch{
-      .qc = current.Row(0).data(),
-      .num_labels = num_labels,
-      .candidates = candidates.data(),
-      .base = base,
-      .answer_model = use_wp_kernel ? kernels::AnswerModel::kWp
-                                    : kernels::AnswerModel::kCm,
-      .wp_m = wp_m,
-      .wp_off = use_wp_kernel ? (1.0 - wp_m) / (num_labels - 1) : 0.0,
-      .likelihoods = likelihoods.Row(0),
-      .overlay = overlay,
-      .row_max = fuse_row_max ? overlay->ArmQualities() : nullptr,
-      .scratch = scratch.empty() ? nullptr : scratch.data(),
-  };
+  // normalisation in one call per chunk. Overlay slot c is candidate
+  // position c, so the chunk writes one dense [cb, ce) block of rows — and
+  // of fused row maxima.
+  const double* qc = current.Row(0).data();
+  const double* table = likelihoods.Row(0);
+  double* row_max = fuse_row_max ? overlay->ArmQualities() : nullptr;
   util::Span batch_span(telemetry, util::tnames::kSpanQwSampledBatch);
-  util::ParallelFor(pool, 0, count, kQwScanGrain, [&batch](int cb, int ce) {
-    const int l = batch.num_labels;
+  util::ParallelFor(pool, 0, count, kQwScanGrain, [&](int cb, int ce) {
     const int chunk = util::ChunkIndex(0, cb, kQwScanGrain);
-    double* dist = batch.scratch != nullptr
-                       ? batch.scratch + static_cast<size_t>(chunk) * l
-                       : nullptr;
-    kernels::SampledQwRows(
-        batch.qc, l, batch.candidates + cb, ce - cb, batch.base,
-        batch.answer_model, batch.wp_m, batch.wp_off, batch.likelihoods,
-        batch.overlay->MutableRow(cb),
-        batch.row_max != nullptr ? batch.row_max + cb : nullptr, dist);
+    double* dist = scratch.empty()
+                       ? nullptr
+                       : scratch.data() + static_cast<size_t>(chunk) *
+                                              num_labels;
+    kernels::SampledQwRows(qc, num_labels, candidates.data() + cb, ce - cb,
+                           base, answer_model, wp_m, wp_off, table,
+                           overlay->MutableRow(cb),
+                           row_max != nullptr ? row_max + cb : nullptr, dist);
 #if QASCA_ENABLE_DCHECKS
     for (int c = cb; c < ce; ++c) {
       QASCA_DCHECK_OK(invariants::CheckDistributionRow(std::span<const double>(
-          batch.overlay->MutableRow(c), static_cast<size_t>(l))));
+          overlay->MutableRow(c), static_cast<size_t>(num_labels))));
     }
 #endif
   });

@@ -122,20 +122,21 @@ DistributionMatrix EstimateWorkerDistribution(
     const std::vector<QuestionIndex>& candidates, util::Rng& rng);
 
 /// Zero-copy Qw estimation (DESIGN.md §12): materialises only the candidate
-/// rows into `overlay` (reusable per-strategy scratch; reads of other rows
-/// fall through to `current` via AssignmentRequest::EstimatedRow) and runs
-/// the answer-distribution / posterior-weight inner loops through the
-/// row kernels (core/kernels/kernels.h). Once the overlay's buffers have
-/// grown to the request's size, it allocates nothing for rows of two or
-/// three labels; other widths allocate one per-chunk scratch vector.
+/// rows into `overlay` (reusable per-strategy scratch), slot c holding
+/// candidates[c]'s row, and runs the answer-distribution / posterior-weight
+/// inner loops through the row kernels (core/kernels/kernels.h). Once the
+/// overlay's buffers have grown to the request's size, it allocates nothing
+/// for rows of two or three labels; other widths allocate one per-chunk
+/// scratch vector. `candidates` must be distinct questions of `current`
+/// (checked, always on).
 /// `likelihoods` must be the transposed table for `model`
 /// (WorkerLikelihoods::Rebuild on the strategy's scratch table): every row
 /// is conditioned through it, and a confusion-matrix worker's answer
 /// distribution is formed from it.
 ///
 /// Same randomness contract as EstimateWorkerDistribution, and bit-identical
-/// overlay rows: for every candidate i, overlay->Row(i) holds exactly the
-/// doubles EstimateWorkerDistribution's row i would hold
+/// overlay rows: for every position c, overlay->SlotRow(c) holds exactly
+/// the doubles EstimateWorkerDistribution's row candidates[c] would hold
 /// (EstimateWorkerRowsIntoTest pins this). `mode` is always
 /// QwMode::kSampled (see QwMode for why the parameter stays).
 /// When `fuse_row_max` is set, the overlay's quality channel is armed and
@@ -144,8 +145,8 @@ DistributionMatrix EstimateWorkerDistribution(
 /// the Top-K benefit scan reads one contiguous double per candidate instead
 /// of re-reducing the row. The fused maxima are exactly kernels::RowMax of
 /// the materialised rows; they never change which rows are produced.
-/// `telemetry` (optional) times the overlay fill and the row batch; the
-/// caller counts the samples drawn, one per candidate.
+/// `telemetry` (optional) times the row batch; the caller counts the
+/// samples drawn, one per candidate.
 void EstimateWorkerRowsInto(const DistributionMatrix& current,
                             const WorkerModel& model,
                             const WorkerLikelihoods& likelihoods,

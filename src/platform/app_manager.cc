@@ -64,9 +64,9 @@ AppManager::SubmitHitRequestBatch(AppId app,
   if (shard == nullptr) {
     return util::Status::InvalidArgument("unknown app id");
   }
-  // One lock hold for the whole batch: the b decisions run back to back
-  // against one Qc/EM snapshot, with the shared state warmed once
-  // (TaskAssignmentEngine::ServeRequestBatch).
+  // One lock hold for the whole batch: the b decisions run back to back,
+  // with no completion changing Qc or the worker models between them
+  // (TaskAssignmentEngine::ServeRequestBatch warms the shared state once).
   util::MutexLock lock(shard->mu);
   if (shard->engine == nullptr) {
     return util::Status::FailedPrecondition("app is still initialising");

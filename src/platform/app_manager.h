@@ -97,11 +97,12 @@ class AppManager {
       AppId app, WorkerId worker);
 
   /// Serves `workers`' HIT requests as one batch under one shard-lock hold
-  /// and one serve_batch span: the Qc snapshot and warmed EM shared state
-  /// are amortised across the batch. Decisions are byte-identical to
-  /// submitting the same requests serially in batch order (pinned by
-  /// AppManagerTest.BatchMatchesSerialInBatchOrder). One result slot per
-  /// worker, in order; per-request failures do not abort the batch.
+  /// and one serve_batch span, with the strategy's shared per-decision
+  /// state warmed once (TaskAssignmentEngine::ServeRequestBatch). Decisions
+  /// are byte-identical to submitting the same requests serially in batch
+  /// order (pinned by AppManagerTest.BatchMatchesSerialInBatchOrder). One
+  /// result slot per worker, in order; per-request failures do not abort
+  /// the batch.
   QASCA_NODISCARD
   util::StatusOr<std::vector<util::StatusOr<std::vector<QuestionIndex>>>>
   SubmitHitRequestBatch(AppId app, const std::vector<WorkerId>& workers);

@@ -54,8 +54,9 @@ namespace qasca {
 ///
 /// Performance model (DESIGN.md "Threading and incrementality"): with
 /// AppConfig::num_threads > 1 the core owns a fixed-size thread pool that
-/// the hot kernels (EM E-step, Qw estimation, benefit scans) chunk work
-/// onto; assignment decisions are byte-identical for every thread count.
+/// the HIT-request kernels (Qw estimation, the Top-K benefit scan) chunk
+/// work onto; EM refits run serially. Assignment decisions are
+/// byte-identical for every thread count.
 /// With AppConfig::em_refresh_interval > 1, full EM refits run only every
 /// that-many completions and the completions in between re-derive just the
 /// k posterior rows the completed HIT touched.
@@ -85,12 +86,12 @@ class TaskAssignmentEngine {
   QASCA_NODISCARD
   util::StatusOr<std::vector<QuestionIndex>> RequestHit(WorkerId worker);
 
-  /// Serves a batch of HIT requests in batch order under one root span,
-  /// amortising the shared per-decision state (the Qc snapshot the
-  /// strategies read and the cached typical-worker model, both warmed once)
-  /// across the batch. Decisions are byte-identical to calling RequestHit
-  /// serially for each worker in batch order — the engine RNG stream
-  /// advances per request either way (pinned by
+  /// Serves a batch of HIT requests in batch order under one root span. The
+  /// strategy's shared per-decision state is warmed once for the batch
+  /// (AssignmentCore::WarmSharedState: MaxMargin's typical-worker model,
+  /// the only such state). Decisions are byte-identical to calling
+  /// RequestHit serially for each worker in batch order — the engine RNG
+  /// stream advances per request either way (pinned by
   /// AppManagerTest.BatchMatchesSerialInBatchOrder). Per-request failures
   /// land in the matching result slot; the batch never aborts early.
   std::vector<util::StatusOr<std::vector<QuestionIndex>>> ServeRequestBatch(

@@ -27,10 +27,8 @@ inline constexpr char kSpanIncrementalRefresh[] = "incremental_refresh";
 inline constexpr char kSpanTopkScan[] = "topk_scan";
 inline constexpr char kSpanFscoreOnline[] = "fscore_online";
 inline constexpr char kSpanDinkelbachInner[] = "dinkelbach_inner";
-// Assignment-kernel stages (DESIGN.md §12): candidate-row materialisation
-// into the Qw overlay, and the fused SampledQwRows batch over all candidate
-// chunks.
-inline constexpr char kSpanQwOverlayFill[] = "qw_overlay_fill";
+// Assignment-kernel stage (DESIGN.md §12): the fused SampledQwRows batch
+// over all candidate chunks, inside estimate_qw.
 inline constexpr char kSpanQwSampledBatch[] = "qw_sampled_batch";
 // Serving layer (DESIGN.md §14): one span per request batch, amortising the
 // shared-state warm-up across the batch's assign_hit spans.

@@ -98,32 +98,4 @@ void ThreadPool::ParallelFor(int begin, int end, int grain,
   }
 }
 
-void ParallelFor(ThreadPool* pool, int begin, int end, int grain,
-                 const std::function<void(int, int)>& fn) {
-  if (pool != nullptr) {
-    pool->ParallelFor(begin, end, grain, fn);
-    return;
-  }
-  QASCA_CHECK_GT(grain, 0);
-  for (int b = begin; b < end; b += grain) {
-    fn(b, std::min(b + grain, end));
-  }
-}
-
-double ParallelSum(ThreadPool* pool, int begin, int end, int grain,
-                   const std::function<double(int, int)>& chunk_sum) {
-  const int chunks = NumChunks(begin, end, grain);
-  if (chunks == 0) return 0.0;
-  // Partials land in chunk-index slots and fold in chunk order, so the
-  // floating-point association is fixed regardless of scheduling.
-  std::vector<double> partials(static_cast<size_t>(chunks), 0.0);
-  ParallelFor(pool, begin, end, grain, [&](int b, int e) {
-    partials[static_cast<size_t>(ChunkIndex(begin, b, grain))] =
-        chunk_sum(b, e);
-  });
-  double total = 0.0;
-  for (double partial : partials) total += partial;
-  return total;
-}
-
 }  // namespace qasca::util

@@ -1,12 +1,14 @@
 #ifndef QASCA_UTIL_THREAD_POOL_H_
 #define QASCA_UTIL_THREAD_POOL_H_
 
+#include <algorithm>
 #include <deque>
 #include <functional>
 #include <thread>
 #include <vector>
 
 #include "util/lock_ranks.h"
+#include "util/logging.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -15,10 +17,10 @@ namespace qasca::util {
 class Counter;
 class MetricRegistry;
 
-/// Fixed-size worker pool shared by the hot kernels (EM E-step, Qw
-/// estimation, per-candidate benefit scans). Sized once from
-/// AppConfig::num_threads and reused for the engine's lifetime so the
-/// per-HIT cost is chunk dispatch, not thread creation.
+/// Fixed-size worker pool shared by the HIT-request kernels (Qw estimation
+/// and the per-candidate benefit scan; EM refits run serially, DESIGN.md
+/// §8). Sized once from AppConfig::num_threads and reused for the engine's
+/// lifetime so the per-HIT cost is chunk dispatch, not thread creation.
 ///
 /// Determinism contract (see DESIGN.md "Threading and incrementality"):
 /// ParallelFor decomposes [begin, end) into chunks of `grain` indices, and
@@ -94,17 +96,43 @@ inline int ChunkIndex(int begin, int i, int grain) {
 /// ParallelFor through an optional pool: `pool == nullptr` (or a pool of
 /// size 1) runs the same chunks inline in chunk order. This is the form the
 /// kernels call so that every caller that has no pool gets the serial path
-/// with zero synchronisation cost.
+/// with zero synchronisation cost. The serial path calls `fn` directly, and
+/// a pool receives it type-erased by reference (ThreadPool::ParallelFor), so
+/// the closure is never copied to the heap, whatever it captures.
+template <typename Fn>
 void ParallelFor(ThreadPool* pool, int begin, int end, int grain,
-                 const std::function<void(int, int)>& fn);
+                 const Fn& fn) {
+  if (pool != nullptr) {
+    pool->ParallelFor(begin, end, grain, std::cref(fn));
+    return;
+  }
+  QASCA_CHECK_GT(grain, 0);
+  for (int b = begin; b < end; b += grain) {
+    fn(b, std::min(b + grain, end));
+  }
+}
 
 /// Deterministic chunked sum: `chunk_sum(chunk_begin, chunk_end)` returns
 /// the serial sum over one chunk; the per-chunk partials are folded in
 /// chunk-index order. Because the decomposition and fold order are fixed,
 /// the result is bit-identical for every thread count — the serial path
 /// folds the same partials in the same order.
+template <typename ChunkSum>
 double ParallelSum(ThreadPool* pool, int begin, int end, int grain,
-                   const std::function<double(int, int)>& chunk_sum);
+                   const ChunkSum& chunk_sum) {
+  const int chunks = NumChunks(begin, end, grain);
+  if (chunks == 0) return 0.0;
+  // Partials land in chunk-index slots and fold in chunk order, so the
+  // floating-point association is fixed regardless of scheduling.
+  std::vector<double> partials(static_cast<size_t>(chunks), 0.0);
+  ParallelFor(pool, begin, end, grain, [&](int b, int e) {
+    partials[static_cast<size_t>(ChunkIndex(begin, b, grain))] =
+        chunk_sum(b, e);
+  });
+  double total = 0.0;
+  for (double partial : partials) total += partial;
+  return total;
+}
 
 }  // namespace qasca::util
 

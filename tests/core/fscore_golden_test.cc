@@ -241,10 +241,9 @@ TEST_P(FScoreOnlineGoldenTest, HashMatchesPinnedValue) {
   QwOverlay overlay;
   if (c.overlay) {
     const int rows = static_cast<int>(request.candidates.size());
-    overlay.Begin(c.n, c.l, rows);
+    overlay.Begin(c.l, rows);
     for (int slot = 0; slot < rows; ++slot) {
       const QuestionIndex i = request.candidates[static_cast<size_t>(slot)];
-      overlay.Stamp(i, slot);
       const std::span<const double> row = qw.Row(i);
       std::copy(row.begin(), row.end(), overlay.MutableRow(slot));
     }

@@ -292,10 +292,9 @@ int CheckInstance(const Instance& instance, AssignmentScratch* scratch) {
 
   QwOverlay overlay;
   const int rows = static_cast<int>(instance.candidates.size());
-  overlay.Begin(instance.qc.num_questions(), instance.qc.num_labels(), rows);
+  overlay.Begin(instance.qc.num_labels(), rows);
   for (int slot = 0; slot < rows; ++slot) {
     const QuestionIndex i = instance.candidates[static_cast<size_t>(slot)];
-    overlay.Stamp(i, slot);
     const std::span<const double> row = instance.qw.Row(i);
     std::copy(row.begin(), row.end(), overlay.MutableRow(slot));
   }

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/assignment/assignment.h"
 #include "core/assignment/qw_overlay.h"
+#include "core/distribution_matrix.h"
 #include "util/fold.h"
 #include "util/rng.h"
 
@@ -144,11 +146,11 @@ TEST(KernelEquivalenceTest, CmAnswerDistributionAscendingTruthOrder) {
   }
 }
 
+// QwOverlay is a block of rows addressed by candidate position: slot c
+// holds candidates[c]'s row, and nothing is indexed by question.
 TEST(QwOverlayTest, StampedRowsReadBackWrittenValues) {
   QwOverlay overlay;
-  overlay.Begin(/*num_questions=*/10, /*num_labels=*/3, /*rows=*/2);
-  overlay.Stamp(4, /*slot=*/0);
-  overlay.Stamp(7, /*slot=*/1);
+  overlay.Begin(/*num_labels=*/3, /*rows=*/2);
   double* r0 = overlay.MutableRow(0);
   double* r1 = overlay.MutableRow(1);
   r0[0] = 0.5;
@@ -157,76 +159,101 @@ TEST(QwOverlayTest, StampedRowsReadBackWrittenValues) {
   r1[0] = 0.1;
   r1[1] = 0.2;
   r1[2] = 0.7;
-  ASSERT_TRUE(overlay.Contains(4));
-  ASSERT_TRUE(overlay.Contains(7));
-  EXPECT_EQ(overlay.Row(4)[0], 0.5);
-  EXPECT_EQ(overlay.Row(4)[2], 0.25);
-  EXPECT_EQ(overlay.Row(7)[2], 0.7);
-  EXPECT_EQ(overlay.Row(4).size(), 3u);
+  EXPECT_EQ(overlay.SlotRow(0)[0], 0.5);
+  EXPECT_EQ(overlay.SlotRow(0)[2], 0.25);
+  EXPECT_EQ(overlay.SlotRow(1)[2], 0.7);
+  EXPECT_EQ(overlay.SlotRow(0).size(), 3u);
+  EXPECT_EQ(overlay.SlotRow(1).data(), r1);
 }
 
 TEST(QwOverlayTest, UnstampedRowsFallThrough) {
-  // Contains() is the fall-through predicate AssignmentRequest::EstimatedRow
-  // keys on: false means "read the base matrix".
+  // A request reads Qw only by candidate position: from overlay slot c when
+  // an overlay is attached, never from `estimated`, and from
+  // estimated->Row(candidates[c]) when none is.
+  DistributionMatrix qw(6, 2);
+  qw.SetRow(3, std::vector<double>{0.9, 0.1});
+  qw.SetRow(5, std::vector<double>{0.2, 0.8});
+  AssignmentRequest request;
+  request.current = &qw;
+  request.estimated = &qw;
+  request.candidates = {5, 3};
+  request.k = 1;
+  EXPECT_EQ(request.EstimatedSlotRow(0).data(), qw.Row(5).data());
+  EXPECT_EQ(request.EstimatedSlotRow(1).data(), qw.Row(3).data());
+
   QwOverlay overlay;
-  overlay.Begin(/*num_questions=*/6, /*num_labels=*/2, /*rows=*/1);
-  overlay.Stamp(3, /*slot=*/0);
-  for (int i = 0; i < 6; ++i) {
-    EXPECT_EQ(overlay.Contains(i), i == 3) << "i=" << i;
-  }
+  overlay.Begin(/*num_labels=*/2, /*rows=*/2);
+  overlay.MutableRow(0)[0] = 0.4;
+  overlay.MutableRow(0)[1] = 0.6;
+  overlay.MutableRow(1)[0] = 0.7;
+  overlay.MutableRow(1)[1] = 0.3;
+  request.overlay = &overlay;
+  EXPECT_EQ(request.EstimatedSlotRow(0).data(), overlay.SlotRow(0).data());
+  EXPECT_EQ(request.EstimatedSlotRow(1).data(), overlay.SlotRow(1).data());
+  EXPECT_EQ(request.EstimatedSlotRow(1)[0], 0.7);
 }
 
 TEST(QwOverlayTest, BeginInvalidatesPreviousEpoch) {
+  // Each Begin starts a new request: the slot count and the quality channel
+  // are the new request's, whatever the previous one left.
   QwOverlay overlay;
-  overlay.Begin(/*num_questions=*/5, /*num_labels=*/2, /*rows=*/2);
-  overlay.Stamp(1, 0);
-  overlay.Stamp(2, 1);
-  EXPECT_TRUE(overlay.Contains(1));
-  overlay.Begin(5, 2, /*rows=*/1);
-  // O(1) invalidation: nothing from the previous request survives.
-  EXPECT_FALSE(overlay.Contains(1));
-  EXPECT_FALSE(overlay.Contains(2));
-  overlay.Stamp(2, 0);
-  EXPECT_TRUE(overlay.Contains(2));
-  EXPECT_FALSE(overlay.Contains(1));
+  overlay.Begin(/*num_labels=*/2, /*rows=*/2);
+  overlay.MutableRow(1)[0] = 0.25;
+  overlay.ArmQualities()[1] = 0.75;
+  overlay.Begin(2, /*rows=*/1);
+  EXPECT_EQ(overlay.rows_materialized(), 1);
+  EXPECT_FALSE(overlay.has_qualities());
+  overlay.MutableRow(0)[0] = 0.5;
+  overlay.MutableRow(0)[1] = 0.5;
+  EXPECT_EQ(overlay.SlotRow(0)[1], 0.5);
 }
 
 TEST(QwOverlayTest, ShapeChangeResetsStamps) {
+  // A new label count re-lays the block out: rows are num_labels wide and
+  // distinct slots never overlap.
   QwOverlay overlay;
-  overlay.Begin(/*num_questions=*/4, /*num_labels=*/2, /*rows=*/1);
-  overlay.Stamp(0, 0);
-  overlay.Begin(/*num_questions=*/8, /*num_labels=*/3, /*rows=*/1);
-  EXPECT_EQ(overlay.num_questions(), 8);
+  overlay.Begin(/*num_labels=*/2, /*rows=*/1);
+  overlay.Begin(/*num_labels=*/3, /*rows=*/4);
   EXPECT_EQ(overlay.num_labels(), 3);
-  for (int i = 0; i < 8; ++i) EXPECT_FALSE(overlay.Contains(i));
+  for (int slot = 0; slot < 4; ++slot) {
+    for (int j = 0; j < 3; ++j) {
+      overlay.MutableRow(slot)[j] = static_cast<double>(slot * 3 + j);
+    }
+  }
+  for (int slot = 0; slot < 4; ++slot) {
+    ASSERT_EQ(overlay.SlotRow(slot).size(), 3u);
+    for (int j = 0; j < 3; ++j) {
+      EXPECT_EQ(overlay.SlotRow(slot)[j], static_cast<double>(slot * 3 + j))
+          << "slot=" << slot;
+    }
+  }
 }
 
 TEST(QwOverlayTest, CountsMaterializedRows) {
   QwOverlay overlay;
-  overlay.Begin(10, 2, /*rows=*/3);
+  EXPECT_EQ(overlay.rows_materialized(), 0);
+  overlay.Begin(2, /*rows=*/3);
   EXPECT_EQ(overlay.rows_materialized(), 3);
-  EXPECT_EQ(overlay.total_rows_materialized(), 3);
-  overlay.Begin(10, 2, /*rows=*/5);
+  overlay.Begin(2, /*rows=*/5);
   EXPECT_EQ(overlay.rows_materialized(), 5);
-  EXPECT_EQ(overlay.total_rows_materialized(), 8);
+  overlay.Begin(2, /*rows=*/0);
+  EXPECT_EQ(overlay.rows_materialized(), 0);
 }
 
 TEST(QwOverlayTest, QualityChannelArmsPerEpoch) {
   QwOverlay overlay;
   EXPECT_FALSE(overlay.has_qualities());  // never Begun
-  overlay.Begin(/*num_questions=*/6, /*num_labels=*/2, /*rows=*/2);
-  overlay.Stamp(1, 0);
-  overlay.Stamp(4, 1);
-  EXPECT_FALSE(overlay.has_qualities());  // not armed this epoch
+  overlay.Begin(/*num_labels=*/2, /*rows=*/2);
+  EXPECT_FALSE(overlay.has_qualities());  // not armed this request
   double* q = overlay.ArmQualities();
   q[0] = 0.75;
   q[1] = 0.6;
   ASSERT_TRUE(overlay.has_qualities());
-  EXPECT_EQ(overlay.Quality(1), 0.75);
-  EXPECT_EQ(overlay.Quality(4), 0.6);
+  EXPECT_EQ(overlay.Quality(0), 0.75);
+  EXPECT_EQ(overlay.Quality(1), 0.6);
   // Begin disarms: a stale quality buffer can never leak into the next
   // request, even though the storage is reused.
-  overlay.Begin(6, 2, /*rows=*/2);
+  overlay.Begin(2, /*rows=*/2);
   EXPECT_FALSE(overlay.has_qualities());
 }
 

@@ -1,10 +1,17 @@
 #include "core/assignment/topk_benefit.h"
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/assignment/brute_force.h"
+#include "core/assignment/qw_overlay.h"
+#include "core/kernels/kernels.h"
 #include "core/metrics/accuracy.h"
 #include "util/rng.h"
 
@@ -41,6 +48,41 @@ AssignmentRequest Figure2Request(const DistributionMatrix& qc,
   request.candidates = {0, 1, 3, 5};
   request.k = 2;
   return request;
+}
+
+// `dense` again with its Qw rows in `overlay`, slot c holding
+// candidates[c]'s row, as EstimateWorkerRowsInto fills it. With `armed`, the
+// quality channel holds each row's max, as the estimation kernel fuses it
+// for an Accuracy* request.
+AssignmentRequest OverlayRequest(const AssignmentRequest& dense, bool armed,
+                                 QwOverlay* overlay) {
+  const int l = dense.current->num_labels();
+  const int rows = static_cast<int>(dense.candidates.size());
+  overlay->Begin(l, rows);
+  double* quality = armed ? overlay->ArmQualities() : nullptr;
+  for (int c = 0; c < rows; ++c) {
+    const std::span<const double> row =
+        dense.estimated->Row(dense.candidates[static_cast<size_t>(c)]);
+    std::copy(row.begin(), row.end(), overlay->MutableRow(c));
+    if (quality != nullptr) quality[c] = kernels::RowMax(row.data(), l);
+  }
+  AssignmentRequest request = dense;
+  request.estimated = dense.current;
+  request.overlay = overlay;
+  return request;
+}
+
+void ExpectSameSelectionBits(const AssignmentResult& expected,
+                             const AssignmentResult& actual,
+                             const std::string& what) {
+  EXPECT_EQ(actual.selected, expected.selected) << what;
+  ASSERT_EQ(actual.selected_scores.size(), expected.selected_scores.size())
+      << what;
+  for (size_t s = 0; s < expected.selected_scores.size(); ++s) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(actual.selected_scores[s]),
+              std::bit_cast<uint64_t>(expected.selected_scores[s]))
+        << what << " s=" << s;
+  }
 }
 
 TEST(TopKBenefitTest, PaperExample4SelectsQ2AndQ4) {
@@ -110,6 +152,8 @@ class TopKBenefitSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(TopKBenefitSweep, MatchesBruteForceOptimum) {
   util::Rng rng(5000 + GetParam());
+  // A stream of its own, so the instances are the ones drawn from `rng`.
+  util::Rng order_rng(6000 + GetParam());
   AccuracyMetric metric;
   for (int trial = 0; trial < 10; ++trial) {
     int n = 4 + rng.UniformInt(5);       // 4..8
@@ -137,10 +181,49 @@ TEST_P(TopKBenefitSweep, MatchesBruteForceOptimum) {
     AssignmentResult slow = AssignBruteForce(request, metric);
     EXPECT_NEAR(fast.objective, slow.objective, 1e-10)
         << "n=" << n << " m=" << m << " k=" << k;
+
+    // The same instance as overlay requests, Qw read by candidate position:
+    // candidates ascending and in another order, the quality channel armed
+    // and not. Every selection and score matches the dense request's bits.
+    std::vector<int> ascending = candidates;
+    std::sort(ascending.begin(), ascending.end());
+    std::vector<int> shuffled;
+    for (int p : order_rng.Permutation(static_cast<int>(ascending.size()))) {
+      shuffled.push_back(ascending[static_cast<size_t>(p)]);
+    }
+    for (const std::vector<int>* order : {&ascending, &shuffled}) {
+      AssignmentRequest dense = request;
+      dense.candidates = *order;
+      const AssignmentResult dense_fast = AssignTopKBenefit(dense);
+      const AssignmentResult dense_slow = AssignBruteForce(dense, metric);
+      for (bool armed : {false, true}) {
+        const std::string what =
+            "trial=" + std::to_string(trial) +
+            (order == &ascending ? " ascending" : " shuffled") +
+            (armed ? " armed" : " unarmed");
+        QwOverlay overlay;
+        const AssignmentRequest slots = OverlayRequest(dense, armed, &overlay);
+        ExpectSameSelectionBits(dense_fast, AssignTopKBenefit(slots), what);
+        const AssignmentResult slots_slow = AssignBruteForce(slots, metric);
+        EXPECT_EQ(slots_slow.selected, dense_slow.selected) << what;
+        EXPECT_EQ(slots_slow.objective, dense_slow.objective) << what;
+      }
+    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TopKBenefitSweep, ::testing::Range(0, 10));
+
+TEST(TopKBenefitDeathTest, OverlayWithFewerRowsThanCandidatesAborts) {
+  DistributionMatrix qc = Figure2Qc();
+  DistributionMatrix qw = Figure2Qw();
+  QwOverlay overlay;
+  const AssignmentRequest request =
+      OverlayRequest(Figure2Request(qc, qw), /*armed=*/true, &overlay);
+  // One row short of the four candidates: the last candidate has no Qw row.
+  overlay.Begin(qc.num_labels(), /*rows=*/3);
+  EXPECT_DEATH((void)AssignTopKBenefit(request), "rows_materialized");
+}
 
 }  // namespace
 }  // namespace qasca

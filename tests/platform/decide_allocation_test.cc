@@ -125,6 +125,23 @@ TEST(DecideAllocationTest, WarmedUpDecideAllocatesUnderOneKiB) {
   }
 }
 
+// An Accuracy* Decide does no allocating work that an F-score* one skips:
+// its Top-K benefit scan hands util::ParallelFor a closure of several
+// references, which the serial path calls without type erasure (a
+// std::function parameter would heap-allocate it on every request).
+TEST(DecideAllocationTest, AccuracyDecideAllocatesNoMoreThanFScore) {
+#if QASCA_ENABLE_DCHECKS
+  GTEST_SKIP() << "debug checks allocate on the request path";
+#endif
+  const Allocations fscore = MeasureDecide(MetricSpec::FScore(0.5, 0));
+  const Allocations accuracy = MeasureDecide(MetricSpec::Accuracy());
+  EXPECT_LE(accuracy.count, fscore.count)
+      << "Accuracy: " << accuracy.bytes << " bytes, F-score: " << fscore.bytes;
+  EXPECT_LE(accuracy.bytes, fscore.bytes)
+      << "Accuracy: " << accuracy.count << " allocations, F-score: "
+      << fscore.count;
+}
+
 // The Qw estimation of a request, EstimateWorkerRowsInto, with the overlay
 // and likelihood table kept across requests as QascaStrategy keeps them:
 // once warmed up it allocates nothing for WP and CM workers on the kernel's

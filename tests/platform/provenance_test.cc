@@ -181,7 +181,7 @@ TEST(ProvenanceEngineTest, EveryAssignmentGetsOneRecord) {
   ASSERT_NE(recorder, nullptr);
   const std::string trace = recorder->ToChromeJson();
   for (const char* stage :
-       {"assign_hit", "estimate_qw", "qw_overlay_fill", "topk_scan",
+       {"assign_hit", "estimate_qw", "qw_sampled_batch", "topk_scan",
         "complete_hit"}) {
     EXPECT_NE(trace.find(stage), std::string::npos) << stage;
   }

@@ -61,11 +61,12 @@
 #      ctest -j$(nproc), three times over, so tests that would share
 #      journal files between processes fail here
 #  12. observability smoke (ISSUE 8): qasca_sim --trace-out /
-#      --provenance-out on the release build, then structural validation of
-#      the Chrome trace JSON (sorted ts, balanced B/E per tid, nested
-#      stages) and the provenance JSONL, and the journal-seq join (every
-#      provenance record inside the exported trace has an assign_hit span
-#      carrying its journal_seq as the trace arg); then the benchmark of record
+#      --provenance-out on the release build, then
+#      tools/check_observability.py: structural validation of the Chrome
+#      trace JSON (sorted ts, balanced B/E per tid, nested stages) and the
+#      provenance JSONL, and the journal-seq join (every provenance record
+#      inside the exported trace has an assign_hit span carrying its
+#      journal_seq as the trace arg); then the benchmark of record
 #      (perfbench/run.py) on both gated workloads and pool_1e5 for 5 s
 #      each plus traced serve_4app and pool_1e5 runs, each of which must
 #      report "correct": true (decision hashes, fingerprints and scripted
@@ -263,64 +264,20 @@ stage_pass
 
 stage_begin "observability smoke (trace export, provenance JSONL, perfbench correctness)"
 # Exercises the flight-recorder stack end to end on the release build: one
-# instrumented sim run exports both artifacts, then the validation below
-# re-checks the structural contract the unit tests pin (valid JSON, globally
-# sorted timestamps, balanced begin/end per thread, the nested stage set)
-# against the real engine rather than a synthetic recorder.
+# instrumented sim run exports both artifacts, then
+# tools/check_observability.py (also CI's "Trace export smoke") re-checks
+# the structural contract the unit tests pin (valid JSON, globally sorted
+# timestamps, balanced begin/end per thread, the nested stage set, the
+# journal-seq join) against the real engine rather than a synthetic
+# recorder.
 OBS_DIR="$(mktemp -d)"
 trap 'rm -rf "${OBS_DIR}"' EXIT
 run cmake --build --preset release -j "${JOBS}" --target qasca_sim
 run ./build-release/tools/qasca_sim \
   --trace-out "${OBS_DIR}/trace.json" \
   --provenance-out "${OBS_DIR}/provenance.jsonl"
-run python3 - "${OBS_DIR}/trace.json" "${OBS_DIR}/provenance.jsonl" <<'EOF'
-import collections
-import json
-import sys
-
-trace_path, provenance_path = sys.argv[1], sys.argv[2]
-with open(trace_path, encoding="utf-8") as f:
-    events = json.load(f)["traceEvents"]
-assert events, "trace export is empty"
-ts = [e["ts"] for e in events]
-assert ts == sorted(ts), "trace timestamps are not globally sorted"
-stacks = collections.defaultdict(list)
-names = set()
-for e in events:
-    assert e["ph"] in ("B", "E"), f"unexpected phase {e['ph']!r}"
-    names.add(e["name"])
-    if e["ph"] == "B":
-        stacks[e["tid"]].append(e["name"])
-    else:
-        assert stacks[e["tid"]], f"orphan E for {e['name']!r}"
-        top = stacks[e["tid"]].pop()
-        assert top == e["name"], f"unbalanced: B {top!r} closed by {e['name']!r}"
-assert all(not s for s in stacks.values()), "unclosed B events in export"
-required = {"assign_hit", "estimate_qw", "qw_overlay_fill", "topk_scan"}
-assert required <= names, f"missing stages: {sorted(required - names)}"
-
-records = []
-with open(provenance_path, encoding="utf-8") as f:
-    for line in f:
-        records.append(json.loads(line))
-assert records, "provenance export is empty"
-for r in records:
-    assert r["questions"], "provenance record with no questions"
-    assert len(r["questions"]) == len(r["scores"]), "questions/scores mismatch"
-# The journal seq is the one event id: every provenance record the trace
-# ring still covers (journal_seq at or above the smallest exported trace
-# id) has an assign_hit begin event carrying that seq as its trace arg.
-assign_traces = {e["args"]["trace"] for e in events
-                 if e["name"] == "assign_hit" and e["ph"] == "B"}
-oldest = min(e["args"]["trace"] for e in events)
-covered = [r["journal_seq"] for r in records if r["journal_seq"] >= oldest]
-missing = [seq for seq in covered if seq not in assign_traces]
-assert covered, "no provenance record falls inside the exported trace"
-assert not missing, f"records without an assign_hit span: {missing[:10]}"
-print(f"observability smoke: {len(events)} trace events across "
-      f"{len(names)} stages, {len(records)} provenance records, "
-      f"{len(covered)} joined to their spans by journal seq")
-EOF
+run python3 tools/check_observability.py "${OBS_DIR}/trace.json" \
+  "${OBS_DIR}/provenance.jsonl"
 # The benchmark of record (BENCHMARK.json) checks every decision hash,
 # state fingerprint and scripted count of its run and reports the verdict
 # as "correct" in the JSON result on its last stdout line. Short runs of
